@@ -2,11 +2,11 @@
 //
 // CycleEngine::run is monolithic: given a whole workload it flattens the
 // accesses, resolves every color through the mapping, then simulates the
-// module queues to completion. The serve layer's staged pipeline
-// (serve/pipeline.hpp) wants those phases split across stages and
-// batches: color resolution happens per batch on a worker (SIMD gather,
-// off the control plane), and execution happens per lane as resolved
-// batches stream in. EngineSession is that split:
+// module queues to completion. The serve layer's executors
+// (serve/pipeline.hpp) want those phases split across batches: color
+// resolution happens once per batch (inline or on a worker, SIMD gather),
+// and execution happens per lane as resolved batches stream in.
+// EngineSession is that split:
 //
 //   feed(access, arrival)            — resolve colors here, accumulate;
 //   feed_resolved(colors, arrival)   — colors already resolved upstream;
@@ -16,9 +16,8 @@
 // engine::detail::run_resolved — the SAME loop CycleEngine::run calls —
 // so a session fed batch-by-batch returns an EngineResult bit-identical
 // to one monolithic run over the same batches with
-// ArrivalSchedule::explicit_cycles of the same arrivals. That identity is
-// what lets the pipelined server keep the single-threaded tick loop as
-// its frozen differential oracle (test_engine_session holds it directly).
+// ArrivalSchedule::explicit_cycles of the same arrivals
+// (test_engine_session holds that identity directly).
 //
 // drain() is const and repeatable: each call replays the prefix fed so
 // far from cycle 0. Replaying is the determinism anchor — a serving round
@@ -28,10 +27,13 @@
 // not stored at all, and each batch's colors are resolved exactly once no
 // matter how many rounds drain.
 //
-// Healthy path only: arrivals must be nondecreasing (open-loop explicit
-// schedule) and options.faults must be null or empty — the degraded loop
-// needs nodes for rerouting, so faulted serving stays on the monolithic
-// entry.
+// Arrivals must be nondecreasing (open-loop explicit schedule). A fault
+// plan in the options is honored: drain() then runs the degraded loop,
+// which reroutes by color, so faulted lanes need no nodes either. There
+// a replay extends earlier completions only while no fail-stop falls
+// after the appended arrivals: a fail-stop drains its queue behind
+// whatever arrived meanwhile. (The serve layer reads each round's
+// completions once, from that round's drain, so this never shows there.)
 #pragma once
 
 #include <cassert>
@@ -46,13 +48,10 @@ namespace pmtree::engine {
 
 class EngineSession {
  public:
-  /// `mapping` must outlive the session. `options.faults` must be null or
-  /// empty (asserted).
+  /// `mapping` (and `options.faults`, if set) must outlive the session.
   explicit EngineSession(const TreeMapping& mapping,
                          const EngineOptions& options = {})
-      : mapping_(mapping), options_(options) {
-    assert(options_.faults == nullptr || options_.faults->empty());
-  }
+      : mapping_(mapping), options_(options) {}
 
   /// Appends one access arriving at `arrival` (cycles, nondecreasing
   /// across feeds — asserted), resolving its colors through the mapping.

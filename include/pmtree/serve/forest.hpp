@@ -9,9 +9,9 @@
 // it": fairness and isolation, not single-tenant makespan, are the
 // correctness criteria (Eyraud-Dubois et al.; Marchal et al.).
 //
-//   tenant 0 ─submit─▶┐                         ┌─▶ lanes[0] × CycleEngine
+//   tenant 0 ─submit─▶┐                         ┌─▶ lanes[0] × EngineSession
 //   tenant 1 ─submit─▶┤ canonical order ─▶ tick │      (tenant 0's mapping)
-//      ...            │  per-tenant admission   ├─▶ lanes[1] × CycleEngine
+//      ...            │  per-tenant admission   ├─▶ lanes[1] × EngineSession
 //   tenant N ─submit─▶┘  DRR batch formation ───┘      (tenant 1's mapping)
 //
 // Four mechanisms implement the isolation story:
@@ -38,20 +38,19 @@
 //     ranges are disjoint, so a tenant's FaultPlan (TenantOptions::
 //     engine.faults) degrades only that tenant's lanes and mapping.
 //
-// The determinism contract is Server's, extended with canonical tenant
-// ordering: requests sort by (submit_cycle, tenant, client, seq); every
-// per-tick phase visits tenants in ascending id; DRR accrues quanta in
-// that same order. The control plane is single-threaded; only lane
-// execution parallelizes (workers == 1 is the oracle, any count is
-// bit-identical — test_serve_forest drives ≥60 randomized multi-tenant
+// The forest runs the same control plane as Server, with N tenants, DRR
+// and the shared pool switched on, so the determinism contract is
+// Server's extended with canonical tenant ordering: requests sort by
+// (submit_cycle, tenant, client, seq); every per-tick phase visits
+// tenants in ascending id; DRR accrues quanta in that same order. Only
+// lane execution parallelizes, so any worker count and either executor
+// is bit-identical (test_serve_forest drives ≥60 randomized multi-tenant
 // configurations, with and without per-tenant fault plans, at 1/2/8
 // workers).
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -91,17 +90,14 @@ struct TenantOptions {
   engine::EngineOptions engine;
   /// Per-tenant skew-adaptive remapping (migration.hpp); same contract as
   /// ServerOptions::migration, scoped to this tenant's lanes and mapping.
-  /// A tenant carrying a fault plan keeps its static mapping regardless.
   MigrationPolicy migration;
   /// Per-tenant adaptive mapping selection (adaptive.hpp); same contract
-  /// as ServerOptions::adaptive, scoped to this tenant's lanes and
-  /// mapping — each tenant resolves the R10 trade-off against its own
-  /// traffic. Mutually exclusive with this tenant's migration; a tenant
-  /// carrying a fault plan keeps its static mapping regardless.
+  /// as ServerOptions::adaptive — each tenant resolves the R10 trade-off
+  /// against its own traffic. add_tenant rejects it with migration.
   AdaptivePolicy adaptive;
   /// Per-tenant real-memory arenas (mem/arena.hpp); same contract as
-  /// ServerOptions::memory — observation only, totals land in
-  /// TenantReport::memory and the tenant's "memory" metrics section.
+  /// ServerOptions::memory — totals land in TenantReport::memory and the
+  /// tenant's "memory" metrics section.
   const mem::MemoryBackend* memory = nullptr;
 };
 
@@ -112,8 +108,8 @@ struct ForestOptions {
   /// Engine replica pool to divide among tenants (grown to >= 1 lane per
   /// tenant; see plan_capacity).
   std::uint32_t replicas = 1;
-  /// Worker threads for lane execution (0 = hardware concurrency).
-  /// Affects wall-clock only; results are bit-identical at any count.
+  /// Worker threads for lane drains under the inline executor (0 =
+  /// hardware concurrency). Affects wall-clock only.
   unsigned workers = 1;
   /// Shared bound on total admitted-but-unbatched requests across all
   /// tenants; 0 disables the global cap. Each tenant holds a reserved
@@ -124,9 +120,8 @@ struct ForestOptions {
   std::size_t global_queue_bound = 0;
   /// Node-credits a weight-1 tenant accrues per tick (0 behaves as 1).
   std::uint64_t drr_quantum_nodes = 32;
-  /// Staged pipeline execution (pipeline.hpp); same contract as
-  /// ServerOptions::pipeline. Forests where any tenant carries a fault
-  /// plan always take the oracle path.
+  /// Batch executor (pipeline.hpp); same contract as
+  /// ServerOptions::pipeline — faulted tenants included.
   PipelineOptions pipeline;
 };
 
@@ -168,16 +163,19 @@ struct ForestReport {
 class Forest {
  public:
   explicit Forest(ForestOptions options = {});
+  ~Forest();
 
   /// Registers a tenant; returns its id (dense, in registration order).
-  /// `mapping` must outlive the forest. Tenants must be registered
-  /// before the first submit()/run().
+  /// `mapping` must outlive the forest. Throws std::logic_error once the
+  /// capacity plan is fixed (the first plan() or run()), and
+  /// std::invalid_argument for tenant options that do not compose (as
+  /// Server's constructor does).
   std::uint32_t add_tenant(const TreeMapping& mapping,
                            TenantOptions options = {});
 
   /// Thread-safe MPSC submission to one tenant; callable concurrently
   /// from any number of client threads. (client, seq) must be unique per
-  /// tenant per run.
+  /// tenant per run. Throws std::out_of_range for an unregistered tenant.
   void submit(std::uint32_t tenant, Request request);
   void submit(std::uint32_t tenant, std::vector<Request> requests);
 
@@ -190,12 +188,8 @@ class Forest {
   [[nodiscard]] const ForestOptions& options() const noexcept {
     return options_;
   }
-  [[nodiscard]] std::uint32_t tenant_count() const noexcept {
-    return static_cast<std::uint32_t>(tenants_.size());
-  }
-  [[nodiscard]] const TenantOptions& tenant_options(std::uint32_t id) const {
-    return tenants_[id].options;
-  }
+  [[nodiscard]] std::uint32_t tenant_count() const noexcept;
+  [[nodiscard]] const TenantOptions& tenant_options(std::uint32_t id) const;
   /// The static capacity plan (fixed once tenants are registered).
   [[nodiscard]] const CapacityPlan& plan();
   /// Registry holding forest.* and forest.t<i>.* instruments, cumulative
@@ -205,35 +199,15 @@ class Forest {
   }
 
  private:
-  static constexpr std::size_t kStripes = 16;
-  struct Submitted {
-    std::uint32_t tenant = 0;
-    Request request;
-  };
-  struct Inbox {
-    std::mutex mutex;
-    std::vector<Submitted> requests;
-  };
-  struct Tenant {
-    const TreeMapping* mapping = nullptr;
-    TenantOptions options;
-  };
-
   void ensure_plan();
-  [[nodiscard]] std::vector<Submitted> drain_inboxes();
-  /// Staged-pipeline twin of run() (defined in pipeline.cpp); dispatched
-  /// to when options_.pipeline.enabled() and no tenant has a fault plan.
-  [[nodiscard]] ForestReport run_pipeline();
 
   ForestOptions options_;
-  std::vector<Tenant> tenants_;
   CapacityPlan plan_;
   bool planned_ = false;
   engine::MetricsRegistry registry_;
-  std::array<Inbox, kStripes> inboxes_;
-  /// Lazily built on the first pipelined run (one lane per capacity-plan
-  /// lane), then reused across run() calls.
-  std::unique_ptr<StagedRunner> runner_;
+  /// The shared serve control plane (src/serve/control.hpp): tenants,
+  /// inboxes and the executor.
+  std::unique_ptr<detail::ControlPlane> plane_;
 };
 
 }  // namespace pmtree::serve

@@ -63,7 +63,7 @@ class ServeMetrics {
   /// Attaches the staged pipeline's stage-attribution snapshot
   /// (StagedRunner::stats — stage nanoseconds, barrier wait, batches in
   /// flight, active SIMD kernel). summary() emits it as a "pipeline"
-  /// section only when set, so oracle runs keep their exact JSON shape.
+  /// section only when set, so inline runs keep their exact JSON shape.
   void set_pipeline(Json stats) { pipeline_ = std::move(stats); }
 
   /// Attaches the skew-adaptive planner's snapshot

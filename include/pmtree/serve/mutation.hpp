@@ -8,9 +8,9 @@
 // and the IncrementalColorer is touched with the batch's node set plus
 // every applied target, so by the time any worker resolves the batch the
 // colors it needs are published. The barrier is a pure function of the
-// cut sequence, which both the oracle loop and the staged pipeline mint
-// identically, so mutation verdicts and responses stay bit-identical at
-// 1/2/8 workers and across both execution paths.
+// cut sequence, which the one serve control plane mints identically for
+// either executor, so mutation verdicts and responses stay bit-identical
+// at 1/2/8 workers and across both executors.
 //
 // Conflict scheduling: reads in the same composite instance observe the
 // tree as of the batch cut (their node sets were planned against it);
@@ -39,8 +39,8 @@ namespace pmtree::serve {
 /// in read-write mode: Insert/Erase requests mutate it at the batch-cut
 /// barrier and `colorer` (required; it must be the server's mapping or
 /// share its color function) is touched so workers find every color
-/// published. Mutually exclusive with migration; faulted configurations
-/// run the mutation barrier on the oracle path like everything else.
+/// published. Mutually exclusive with migration, adaptive selection and
+/// arenas; faulted configurations run the barrier like any other.
 struct DynBinding {
   dyn::DynamicTree* tree = nullptr;
   dyn::IncrementalColorer* colorer = nullptr;

@@ -1,17 +1,22 @@
-// StagedRunner: the PALM-style staged execution pipeline behind
-// Server/Forest (DESIGN.md §14).
+// StagedRunner: the batch executor behind the serve control plane
+// (DESIGN.md §14).
 //
-// The single-threaded serving loop does everything per batch in sequence:
-// cut → coalesce → (later) flatten + color-resolve + simulate, with every
-// round's replica execution rebuilding its whole cumulative workload from
-// scratch. The staged pipeline splits that work so consecutive batches
-// occupy different stages concurrently, PALM-style (batch-parallel trees
-// synchronize on per-batch barriers instead of per-node locks):
+// Server and Forest share one tick loop (src/serve/control.cpp). Each
+// batch it cuts takes one step — coalesce (sort/dedup/run-decompose),
+// arena touch, color resolution against the batch's epoch mapping — and
+// its colors feed the owning lane's EngineSession; every lane drains at
+// the round barrier. PipelineOptions::workers picks where the step runs:
 //
-//   intake/batching (control) ─▶ resolve (coalesce + SIMD color gather +
-//   conflict histogram, any worker) ─▶ execute (append to the owning
-//   lane's EngineSession) ─▶ [round barrier] drain (simulate lanes) ─▶
-//   reply (control assembles responses in batch-id order)
+//   inline (workers == 0) — no pool: at the round barrier each lane
+//   takes its batches through the step in cut order and drains, the
+//   lanes spread over parallel_chunks.
+//
+//   staged (workers >= 1) — PALM-style, on a worker pool, so consecutive
+//   batches occupy different stages concurrently:
+//
+//     cut (control) ─▶ resolve (the step + conflict histogram, any
+//     worker) ─▶ execute (append to the owning lane's EngineSession)
+//     ─▶ [round barrier] drain (simulate lanes) ─▶ assembly (control)
 //
 // Determinism is by construction, not by luck:
 //
@@ -23,28 +28,26 @@
 //     flag is set. Every lane therefore observes its batches in exactly
 //     the canonical cut order at ANY worker count.
 //   * Execution is EngineSession (engine/session.hpp): a lane's result is
-//     a pure function of the (colors, arrival) sequence fed to it, and
-//     drain() calls the same engine::detail::run_resolved loop the
-//     monolithic CycleEngine uses. The frozen single-threaded tick loop
-//     remains in server.cpp/forest.cpp as the differential oracle;
-//     test_serve_pipeline holds 1/2/8-worker runs bit-identical to it.
-//   * Worker count moves wall-clock only. Nothing any worker computes
-//     feeds back into control-plane decisions mid-round; the round
-//     barrier (close_round) is the only synchronization point at which
-//     control reads worker output.
+//     a pure function of the (colors, arrival) sequence fed to it, faulted
+//     lanes included.
+//   * Nothing any worker computes feeds back into control-plane decisions
+//     mid-round; the round barrier (close_round) is the only point at
+//     which control reads worker output.
 //
 // Stage-attribution counters (nanoseconds per stage, barrier wait,
-// batches in flight) accumulate in the runner and export via stats() into
-// ServeMetrics' "pipeline" section — the only part of a pipelined report
-// that is not bit-identical across worker counts, since it measures wall
-// time.
+// batches in flight) export via stats() into ServeMetrics' "pipeline"
+// section — the only part of a staged report that is not bit-identical
+// across worker counts, since it measures wall time. Inline runs carry no
+// such section.
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -59,11 +62,10 @@
 namespace pmtree::serve {
 
 struct PipelineOptions {
-  /// Pipeline worker threads. 0 keeps the classic single-threaded tick
-  /// loop (the oracle); any value >= 1 routes run() through the staged
-  /// pipeline. Results are bit-identical at every setting — the count
-  /// only changes wall-clock (workers == 1 is the pipeline's own
-  /// sequential mode, still byte-equal to the oracle).
+  /// Pipeline worker threads: 0 selects the inline executor (no pool;
+  /// the per-batch step runs per lane at each round barrier), any value
+  /// >= 1 the staged one. Results are bit-identical at every setting — the count only
+  /// changes wall-clock.
   unsigned workers = 0;
   /// Capacity of each handoff ring, in batch tokens (rounded up to a
   /// power of two, minimum 2). Bounds how much of a round the consumers
@@ -72,14 +74,12 @@ struct PipelineOptions {
   /// the consumer catches up — the Marchal/Sinnen/Vivien
   /// memory-vs-makespan dial, without ever blocking the tick loop.
   std::size_t queue_depth = 256;
-
-  [[nodiscard]] bool enabled() const noexcept { return workers > 0; }
 };
 
-/// One batch riding the pipeline. Created by the control plane at cut
-/// time, filled by the resolve stage, consumed by the execute stage and
-/// finally by reply-side assembly. Tokens live in a deque owned by the
-/// runner — stable addresses, so stages pass raw pointers.
+/// One batch riding the executor. Created by the control plane at cut
+/// time, filled by the per-batch step, fed to its lane and finally moved
+/// out by assembly. Tokens live in a deque owned by the runner — stable
+/// addresses, so stages pass raw pointers.
 struct BatchToken {
   FormedBatch batch;            ///< nodes raw at cut; coalesced by resolve
   std::uint32_t lane = 0;       ///< global execution lane
@@ -90,12 +90,10 @@ struct BatchToken {
   /// count as the lane mapping; must outlive the round. nullptr keeps
   /// the lane mapping (the static default).
   const TreeMapping* mapping = nullptr;
-  std::vector<Color> colors;    ///< resolved colors of batch.nodes
-  std::uint32_t max_conflicts = 0;  ///< peak per-module load in the batch
-  /// Real-memory traffic of this batch (lane backend set): the resolve
-  /// worker loads the batch's payloads from the arenas right after the
-  /// coalesce, and assembly folds these order-invariant totals into the
-  /// report — identical to the oracle's control-plane touches.
+  std::vector<Color> colors;    ///< resolved colors (staged executor)
+  /// Real-memory traffic of this batch (lane backend set): the step loads
+  /// the batch's payloads from the arenas right after the coalesce, and
+  /// assembly folds these order-invariant totals into the report.
   mem::TouchStats mem;
   /// Resolve -> execute handoff: set (release) once colors/decomposition
   /// are final; lane owners consume tokens only after observing it
@@ -112,14 +110,6 @@ class TokenRing {
  public:
   explicit TokenRing(std::size_t capacity);
 
-  /// Vector-growth support only — rings are moved exclusively during
-  /// single-threaded runner construction, never while threads run.
-  TokenRing(TokenRing&& other) noexcept
-      : slots_(std::move(other.slots_)),
-        mask_(other.mask_),
-        head_(other.head_.load(std::memory_order_relaxed)),
-        tail_(other.tail_.load(std::memory_order_relaxed)) {}
-
   /// Producer side. False when full (caller waits on the runner signal).
   bool push(BatchToken* token) noexcept;
   /// Consumer side: front token, or nullptr when empty.
@@ -133,8 +123,9 @@ class TokenRing {
   std::atomic<std::size_t> tail_{0};  ///< producer cursor
 };
 
-/// One execution lane: a Server replica or a Forest tenant-lane. The
-/// mapping/options pair is what the oracle's CycleEngine would run with.
+/// One execution lane: a Server replica or a Forest tenant-lane, with
+/// the mapping and engine options (fault plan included) its
+/// EngineSession runs.
 struct LaneSpec {
   const TreeMapping* mapping = nullptr;
   engine::EngineOptions options;
@@ -147,11 +138,13 @@ struct LaneSpec {
 
 class StagedRunner {
  public:
-  /// Spawns `options.workers` (>= 1) parked worker threads. Lane l is
-  /// owned by worker l mod P; token i is resolved by worker i mod P.
-  /// Mappings must outlive the runner. Every LaneSpec must be healthy
-  /// (no fault plan) — faulted configurations stay on the oracle.
-  StagedRunner(std::vector<LaneSpec> lanes, const PipelineOptions& options);
+  /// Spawns `options.workers` parked worker threads (none for the inline
+  /// executor, whose round barrier drains lanes on `drain_threads`
+  /// threads, 0 = hardware concurrency). Lane l is owned by worker
+  /// l mod P; token i is resolved by worker i mod P. Mappings and fault
+  /// plans must outlive the runner.
+  StagedRunner(std::vector<LaneSpec> lanes, const PipelineOptions& options,
+               unsigned drain_threads = 1);
   ~StagedRunner();
 
   StagedRunner(const StagedRunner&) = delete;
@@ -161,10 +154,11 @@ class StagedRunner {
   /// accumulate across runs (like every other registry instrument).
   void begin_run();
 
-  /// Hands one freshly cut batch to the pipeline (control plane only).
-  /// Never blocks: full rings spill into per-ring overflow queues that
-  /// the control plane pumps as consumers advance. `mapping` (optional)
-  /// is the batch's epoch-mapping override — see BatchToken::mapping.
+  /// Hands one freshly cut batch to the executor (control plane only).
+  /// Inline, it waits for the round barrier. Staged, it never blocks:
+  /// full rings spill into per-ring overflow queues that the control
+  /// plane pumps as consumers advance. `mapping` (optional) is the
+  /// batch's epoch-mapping override — see BatchToken::mapping.
   void cut(FormedBatch batch, std::uint32_t lane, std::uint32_t tenant = 0,
            const TreeMapping* mapping = nullptr);
 
@@ -182,11 +176,11 @@ class StagedRunner {
     return token_count_;
   }
   [[nodiscard]] BatchToken& token(std::size_t i) noexcept {
-    return tokens_[i];
+    return token_chunks_[i / kTokenChunk][i % kTokenChunk];
   }
 
   /// Lane `lane`'s cumulative EngineResult over every batch fed since
-  /// begin_run — exactly what the oracle's replica re-run produces.
+  /// begin_run.
   [[nodiscard]] const engine::EngineResult& result(std::uint32_t lane) const {
     return results_[lane];
   }
@@ -196,9 +190,6 @@ class StagedRunner {
   /// rewriting — earlier completions).
   void next_round();
 
-  [[nodiscard]] std::size_t lane_count() const noexcept {
-    return lanes_.size();
-  }
   [[nodiscard]] unsigned worker_count() const noexcept {
     return static_cast<unsigned>(workers_.size());
   }
@@ -208,16 +199,17 @@ class StagedRunner {
   /// "barrier"},"max_batch_conflicts","simd_kernel"}.
   [[nodiscard]] Json stats() const;
 
-  /// Control-plane bookkeeping: adds tick-loop nanoseconds to the intake
-  /// stage's bucket (measured by the callers around their tick loops).
-  void add_control_ns(std::uint64_t ns) noexcept {
-    control_ns_.fetch_add(ns, std::memory_order_relaxed);
-  }
+  /// Control-plane bookkeeping: adds the tick-loop time since `start` to
+  /// the control stage's bucket.
+  void add_control_ns_since(std::chrono::steady_clock::time_point start);
 
  private:
   void worker_loop(unsigned me);
   bool work_once(unsigned me, std::uint64_t& drained_upto);
-  void resolve(BatchToken& token);
+  /// The per-batch step both executors run: coalesce, arena touch and
+  /// color resolution into `colors` (plus the conflict histogram when
+  /// staged).
+  void resolve(BatchToken& token, std::vector<Color>& colors);
   void bump() noexcept;
   /// Control plane only: tops rings up from their overflow queues.
   /// Returns true when any token moved (consumers may need a wake).
@@ -226,19 +218,25 @@ class StagedRunner {
   std::vector<LaneSpec> lanes_;
   std::vector<engine::EngineSession> sessions_;   ///< one per lane
   std::vector<engine::EngineResult> results_;     ///< one per lane
-  std::deque<BatchToken> tokens_;                 ///< pooled token storage
+  /// Pooled token storage in fixed chunks: stable addresses, one
+  /// allocation per kTokenChunk tokens.
+  static constexpr std::size_t kTokenChunk = 256;
+  std::vector<std::unique_ptr<BatchToken[]>> token_chunks_;
   std::size_t token_count_ = 0;                   ///< live tokens this round
 
-  std::vector<TokenRing> resolve_rings_;  ///< one per worker
-  std::vector<TokenRing> lane_rings_;     ///< one per lane
+  std::deque<TokenRing> resolve_rings_;  ///< one per worker (pinned)
+  std::deque<TokenRing> lane_rings_;     ///< one per lane (pinned)
   /// Control-plane spill for full rings, FIFO per ring (resolver rings
   /// first, then lane rings — same indexing as the ring vectors). Only
   /// the control plane touches these; tokens enter a ring in cut order.
   std::vector<std::deque<BatchToken*>> resolve_overflow_;
   std::vector<std::deque<BatchToken*>> lane_overflow_;
+  /// Inline executor: each lane's batches cut this round, in cut order.
+  std::vector<std::vector<BatchToken*>> inline_lanes_;
   std::size_t overflowed_ = 0;  ///< tokens currently parked in overflow
 
-  std::vector<std::thread> workers_;
+  std::vector<std::thread> workers_;  ///< empty for the inline executor
+  unsigned drain_threads_ = 1;
   mutable std::mutex mutex_;
   std::condition_variable cv_;
   std::uint64_t signal_ = 0;      ///< bumped on every state change

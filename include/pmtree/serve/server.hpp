@@ -12,14 +12,15 @@
 //                                             (admission ▸ batching)
 //                                                  │ batches
 //                                                  ▼
-//                                    replicas × CycleEngine (workers)
+//                                    replicas × EngineSession lanes
 //
-// run() is a simulation on the engine's cycle clock. Submitted requests
-// are drained from the striped inboxes and stably sorted by
-// (submit_cycle, client, seq) — the canonical order, a pure function of
-// the submitted *set*, so results never depend on which thread delivered
-// a request first. The control plane then ticks every `tick_cycles`
-// cycles, each tick running a fixed phase order:
+// run() is a simulation on the engine's cycle clock, driven by the serve
+// control plane Server shares with Forest (one tenant, no DRR). Requests
+// are drained from the striped inboxes into the canonical order
+// (submit_cycle, client, seq) — a pure function of the submitted *set*,
+// so results never depend on which thread delivered a request first.
+// The control plane then ticks every `tick_cycles` cycles, each tick
+// running a fixed phase order:
 //
 //   expire  — drop queued requests whose deadline budget has elapsed;
 //   promote — move blocked callers into freed queue slots (FIFO);
@@ -27,26 +28,17 @@
 //   batch   — let the BatchFormer cut zero or more batches;
 //   observe — record queue-depth gauges for this tick.
 //
-// Each formed batch is one parallel memory access, assigned round-robin
-// (batch id mod replicas) to a memory-system replica; every replica runs
-// the existing CycleEngine over its batch list with
-// ArrivalSchedule::explicit_cycles(dispatch ticks). Replicas execute via
-// parallel_chunks with `workers` threads — the ONLY parallel phase.
-// Worker count therefore affects wall-clock only: workers == 1 is the
-// deterministic single-threaded oracle, and any other count produces
-// bit-identical responses, batches and metrics (tested request-for-request
-// at 1/2/8 workers).
+// Each formed batch is one parallel memory access on replica (batch id mod
+// replicas). Its colors feed that replica's EngineSession, and every
+// replica drains at the round barrier with the dispatch ticks as explicit
+// arrivals. Only batch execution runs in parallel (pipeline.hpp: inline
+// on `workers` threads, or staged on `pipeline.workers`), so worker counts
+// affect wall-clock only: responses, batches and metrics are bit-identical
+// at every setting (tested request-for-request at 1/2/8 workers).
 //
-// With a RetryPolicy the pipeline above becomes one *round* of several:
-// after assembly, completions that overstayed the attempt timeout are
-// discarded and re-enter intake at the cycle the caller would resend
-// (timeout + capped exponential backoff), and the tick loop / replica
-// execution repeat until a round produces no retries. Faults injected via
-// EngineOptions::faults (fault/plan.hpp) are what make retries fire in
-// practice: fail-stopped modules reroute, slowed modules stall, residency
-// inflates past the timeout, and the retry lands on a later batch —
-// usually after DegradedMapping-equivalent routing has settled. All of it
-// stays on the control plane's clock, so determinism is unchanged.
+// With a RetryPolicy (below) the loop above becomes one *round* of
+// several; faults injected via EngineOptions::faults (fault/plan.hpp) are
+// what make retries fire in practice.
 //
 // Graceful shutdown is the run() contract itself: every request submitted
 // before run() reaches a terminal status (kOk, kShed or kExpired) —
@@ -55,10 +47,8 @@
 // drains.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -125,8 +115,8 @@ struct ServerOptions {
   /// b mod replicas (0 behaves as 1). Replicas model scale-out of the
   /// memory system itself: each runs the full module array.
   std::uint32_t replicas = 1;
-  /// Worker threads for replica execution (0 = hardware concurrency).
-  /// Affects wall-clock only; results are bit-identical at any count.
+  /// Worker threads for replica drains under the inline executor (0 =
+  /// hardware concurrency). Affects wall-clock only.
   unsigned workers = 1;
   AdmissionOptions admission;
   BatchPolicy batch;
@@ -135,53 +125,46 @@ struct ServerOptions {
   /// same fault schedule into every replica; the serve layer folds the
   /// resulting reroute/stall counters into its metrics and, with a
   /// RetryPolicy, turns fault-inflated residencies into retries.
+  /// `engine.memory` must stay unset — arenas go in `memory` below.
   engine::EngineOptions engine;
-  /// Staged pipeline execution (pipeline.hpp). `pipeline.workers >= 1`
-  /// routes run() through the StagedRunner — responses stay bit-identical
-  /// to the classic loop at every worker count; `workers == 0` (default)
-  /// keeps the single-threaded tick loop, which doubles as the frozen
-  /// differential oracle. Faulted configurations (`engine.faults`
-  /// non-empty) always take the oracle path regardless of this setting.
+  /// Batch executor (pipeline.hpp): `pipeline.workers == 0` (default) is
+  /// inline — no pool; each round barrier runs the batches' step per
+  /// replica on `workers` threads — and `>= 1` is the staged worker pool.
+  /// Nothing else differs: faulted, migrating, adaptive and dyn
+  /// configurations run on either, bit-identically.
   PipelineOptions pipeline;
-  /// Skew-adaptive remapping (migration.hpp). When enabled, a
-  /// MigrationPlanner observes every cut batch on the control plane and
-  /// re-colors hot subtrees onto cold modules at epoch boundaries; each
-  /// batch resolves against its epoch's MigratedMapping. A control-plane
-  /// decision, so responses stay bit-identical at any worker count and
-  /// under the staged pipeline. Disabled (default) leaves every code path
-  /// byte-identical to the static-mapping server. Faulted configurations
-  /// keep the static mapping — fault reroute timelines already own the
-  /// color space (DegradedMapping composes with MigratedMapping at the
-  /// mapping layer instead; see DESIGN.md §15).
+
+  // Migration, dyn and adaptive selection are control-plane decisions
+  // taken at batch cuts in canonical order, so no executor or worker count
+  // can change them. The constructor rejects (std::invalid_argument) any
+  // two of them together, and dyn together with `memory`.
+
+  /// Skew-adaptive remapping (migration.hpp): a MigrationPlanner observes
+  /// every cut batch and re-colors hot subtrees onto cold modules at epoch
+  /// boundaries; each batch resolves against its epoch's MigratedMapping.
+  /// Disabled (default) is byte-identical to the static-mapping server.
+  /// Faulted configurations keep the static mapping — fault reroute
+  /// timelines already own the color space (DegradedMapping composes with
+  /// MigratedMapping at the mapping layer instead; see DESIGN.md §15).
   MigrationPolicy migration;
   /// Read-write serving (mutation.hpp / DESIGN.md §16). When bound to a
   /// dyn::DynamicTree + IncrementalColorer, Insert/Erase requests apply
-  /// PALM-style at the batch-cut barrier — a control-plane decision, so
-  /// responses and the mutation log stay bit-identical at any worker
-  /// count and under the staged pipeline. Mutually exclusive with
-  /// migration (epoch remapping assumes a frozen shape; compose
-  /// MigratedMapping at the mapping layer instead). Disabled (default)
-  /// leaves every code path byte-identical to the read-only server.
+  /// PALM-style at the batch-cut barrier, with a deterministic mutation
+  /// log. Disabled (default) is byte-identical to the read-only server.
   DynBinding dyn;
-  /// Runtime mapping selection (adaptive.hpp / DESIGN.md §17). When
-  /// enabled, an AdaptiveSelector scores every policy candidate against
-  /// each cut batch on the control plane and switches the serving mapping
-  /// at epoch boundaries when a candidate strictly wins — the R10
-  /// COLOR-vs-LABEL-TREE trade-off decided by measurement. A
-  /// control-plane decision, so responses stay bit-identical at any
-  /// worker count and under the staged pipeline. Mutually exclusive with
-  /// migration (both would own the epoch mapping) and with dyn (selection
-  /// assumes a frozen shape); faulted configurations keep the static
+  /// Runtime mapping selection (adaptive.hpp / DESIGN.md §17): an
+  /// AdaptiveSelector scores every policy candidate against each cut
+  /// batch and switches the serving mapping at epoch boundaries when a
+  /// candidate strictly wins — the R10 COLOR-vs-LABEL-TREE trade-off
+  /// decided by measurement. Faulted configurations keep the static
   /// mapping, exactly like migration.
   AdaptivePolicy adaptive;
   /// Real per-module memory arenas (mem/arena.hpp / DESIGN.md §17; not
   /// owned, must outlive the run). When set, every cut batch's deduped
-  /// node payloads are actually loaded from the arenas — on the control
-  /// plane in the classic loop, on the resolve workers under the staged
-  /// pipeline — and accounted in ServeReport::memory plus a "memory"
-  /// metrics section. Purely observational: responses are bit-identical
-  /// with the backend on or off. Mutually exclusive with dyn (arenas are
-  /// sized for a frozen tree).
+  /// node payloads are actually loaded from the arenas in the batch's
+  /// step and accounted in ServeReport::memory plus a "memory" metrics
+  /// section. Purely observational: responses are bit-identical with the
+  /// backend on or off.
   const mem::MemoryBackend* memory = nullptr;
 };
 
@@ -198,7 +181,7 @@ struct ServeReport {
   std::vector<MutationRecord> mutations;
   /// Real-memory traffic over all cut batches; all-zero unless
   /// ServerOptions::memory was set. Order-invariant totals, identical
-  /// between the classic loop and the staged pipeline.
+  /// on either executor.
   mem::TouchStats memory;
   Json metrics;                         ///< ServeMetrics::summary()
 
@@ -209,12 +192,20 @@ struct ServeReport {
   [[nodiscard]] Json to_json() const;
 };
 
+namespace detail {
+class ControlPlane;
+}  // namespace detail
+
 class Server {
  public:
   /// `mapping` must outlive the server. Instruments land in the server's
   /// own registry (see registry()) under prefix "serve" plus
-  /// "serve.replicaN.*" for each replica's engine run.
+  /// "serve.replicaN.*" for each replica's engine run. Throws
+  /// std::invalid_argument for options that do not compose: dyn with
+  /// migration, adaptive or memory; migration with adaptive; or
+  /// engine.memory set (serve loads arenas through `memory`).
   explicit Server(const TreeMapping& mapping, ServerOptions options = {});
+  ~Server();
 
   /// Thread-safe MPSC submission; callable concurrently from any number
   /// of client threads. (client, seq) must be unique per run and
@@ -243,26 +234,12 @@ class Server {
   }
 
  private:
-  static constexpr std::size_t kStripes = 16;
-  struct Inbox {
-    std::mutex mutex;
-    std::vector<Request> requests;
-  };
-
-  [[nodiscard]] std::vector<Request> drain_inboxes();
-  /// The staged-pipeline twin of run() (defined in pipeline.cpp): same
-  /// control-plane decisions, batch execution handed to the persistent
-  /// StagedRunner. run() dispatches here when options_.pipeline.enabled()
-  /// and the engine options carry no fault plan.
-  [[nodiscard]] ServeReport run_pipeline();
-
   const TreeMapping& mapping_;
   ServerOptions options_;
   engine::MetricsRegistry registry_;
-  std::array<Inbox, kStripes> inboxes_;
-  /// Lazily built on the first pipelined run, then reused: the worker
-  /// pool stays warm across run() calls.
-  std::unique_ptr<StagedRunner> runner_;
+  /// The shared serve control plane (src/serve/control.hpp), holding this
+  /// server as its one tenant, plus the inboxes and the executor.
+  std::unique_ptr<detail::ControlPlane> plane_;
 };
 
 }  // namespace pmtree::serve

@@ -126,16 +126,20 @@ void export_metrics(MetricsRegistry& metrics, const std::string& prefix,
 //      only when timeline.serves_at(m, t) says so; a backlogged module
 //      skipped by a slowdown counts one stalled module-cycle.
 //
+// Rerouting is by color (timeline.redirect(m)), so the loop runs on
+// resolved colors alone, like the healthy core, and run_resolved hands it
+// every faulted run — CycleEngine::run and EngineSession::drain alike.
 // Reroute targets never fail (FaultTimeline draws them from the modules
 // with no fail-stop), so a request moves at most once and the arena
 // segment for module m is safely capped at its own routed load plus the
 // full load of every module that reroutes onto it.
-EngineResult run_faulted(const TreeMapping& mapping, const Workload& workload,
+EngineResult run_faulted(const std::uint32_t modules,
+                         std::span<const std::size_t> first,
+                         std::span<const Color> colors,
                          const ArrivalSchedule& schedule,
                          const EngineOptions& options) {
-  const std::uint32_t modules = mapping.num_modules();
   const fault::FaultTimeline timeline(*options.faults, modules);
-  const std::size_t n = workload.size();
+  const std::size_t n = first.size() - 1;
   assert(n < std::numeric_limits<std::uint32_t>::max());
 
   EngineResult result;
@@ -143,16 +147,6 @@ EngineResult run_faulted(const TreeMapping& mapping, const Workload& workload,
   result.served.assign(modules, 0);
   result.queue_high_water.assign(modules, 0);
   result.records.resize(n);
-
-  std::vector<Node> flat;
-  std::vector<std::size_t> first(n + 1, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    const Workload::Access& access = workload[i];
-    flat.insert(flat.end(), access.begin(), access.end());
-    first[i + 1] = flat.size();
-  }
-  std::vector<Color> colors(flat.size());
-  mapping.color_of_batch(flat, colors);
 
   std::vector<std::size_t> cap(modules, 0);
   for (const Color c : colors) cap[c] += 1;
@@ -200,14 +194,14 @@ EngineResult run_faulted(const TreeMapping& mapping, const Workload& workload,
   };
 
   const auto admit = [&](std::size_t i, std::uint64_t cycle) {
-    const Workload::Access& access = workload[i];
+    const std::size_t size = first[i + 1] - first[i];
     AccessRecord& rec = result.records[i];
     rec.id = i;
-    rec.requests = access.size();
+    rec.requests = size;
     rec.arrival = cycle;
-    result.requests += access.size();
-    outstanding[i] = static_cast<std::uint32_t>(access.size());
-    if (access.empty()) {
+    result.requests += size;
+    outstanding[i] = static_cast<std::uint32_t>(size);
+    if (size == 0) {
       rec.completion = cycle;
       complete(rec);
       return;
@@ -322,19 +316,6 @@ EngineResult run_faulted(const TreeMapping& mapping, const Workload& workload,
 EngineResult CycleEngine::run(const Workload& workload,
                               const ArrivalSchedule& schedule,
                               const EngineOptions& options) const {
-  if (options.faults != nullptr && !options.faults->empty()) {
-    EngineResult result = run_faulted(mapping_, workload, schedule, options);
-    if (options.memory != nullptr) {
-      touch_workload(*options.memory, workload, result);
-    }
-    if (metrics_ != nullptr) {
-      export_metrics(*metrics_, prefix_, result);
-      metrics_->counter(prefix_ + ".rerouted_requests")
-          .add(result.rerouted_requests);
-      metrics_->counter(prefix_ + ".stalled_cycles").add(result.stalled_cycles);
-    }
-    return result;
-  }
   // Resolve every access's colors once up front through the batch kernel —
   // one virtual call for the whole workload, and ColorMapping amortizes
   // its inheritance chase across it (see mapping/color.hpp). `first[i]`
@@ -356,7 +337,14 @@ EngineResult CycleEngine::run(const Workload& workload,
     touch_workload(*options.memory, workload, result);
   }
 
-  if (metrics_ != nullptr) export_metrics(*metrics_, prefix_, result);
+  if (metrics_ != nullptr) {
+    export_metrics(*metrics_, prefix_, result);
+    if (options.faults != nullptr && !options.faults->empty()) {
+      metrics_->counter(prefix_ + ".rerouted_requests")
+          .add(result.rerouted_requests);
+      metrics_->counter(prefix_ + ".stalled_cycles").add(result.stalled_cycles);
+    }
+  }
   return result;
 }
 
@@ -367,7 +355,9 @@ EngineResult run_resolved(const std::uint32_t modules,
                           std::span<const Color> colors,
                           const ArrivalSchedule& schedule,
                           const EngineOptions& options) {
-  assert(options.faults == nullptr || options.faults->empty());
+  if (options.faults != nullptr && !options.faults->empty()) {
+    return run_faulted(modules, first, colors, schedule, options);
+  }
   const std::size_t n = first.size() - 1;
   // Arena entries are 32-bit access ids; a workload that large could not
   // be materialized in memory anyway.

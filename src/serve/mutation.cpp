@@ -14,10 +14,10 @@ void apply_batch_mutations(const FormedBatch& batch,
   assert(binding.colorer != nullptr &&
          "a dyn binding needs its incremental colorer");
 
-  // The batch's node set must be colored before any worker resolves it —
-  // for the staged pipeline this happens-before edge is the token cut;
-  // for the oracle it is the replica thread fork. Raw (uncoalesced)
-  // batches repeat nodes; touch() memoizes, so repeats are O(1).
+  // The batch's node set must be colored before the executor's step
+  // resolves it — staged, this happens-before edge is the token cut;
+  // inline, the step runs right after on the same thread. touch()
+  // memoizes, so repeated nodes are O(1).
   binding.colorer->touch(std::span<const Node>(batch.nodes.data(),
                                                batch.nodes.size()));
 

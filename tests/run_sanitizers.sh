@@ -9,59 +9,29 @@
 # slot writes or the fold shows up both as a TSan report and as a
 # mismatch), the lazy batch-accelerator publication
 # (test_mapping_batch's ConcurrentFirstUseIsConsistent races four threads
-# on a cold ColorMapping), and the serve front-end
-# (test_serve_differential races four submitter threads into Server's
-# striped-inbox MPSC path and then runs the replica phase at 1/2/8
-# workers, asserting responses bit-identical to the single-threaded
-# oracle), and degraded mode (test_engine_faults runs the fault-injected
-# sharded engine at 1/2/8 threads; test_serve_differential's faulted
-# configs re-run replicas across retry rounds at 1/2/8 workers — a data
-# race in the fault path or the round fold shows up as a report and as a
-# bit-identity mismatch), and multi-tenant serving (test_serve_forest
-# races four submitter threads into Forest's striped inboxes in
-# ConcurrentSubmissionMatchesSequential and runs every differential
-# config's lane execution at 1/2/8 workers — a race in the shared-pool
-# admission, the DRR batch formation, or the per-tenant lane fold shows
-# up as a TSan report and as a divergence from the 1-worker oracle), and
-# the staged serve pipeline (test_serve_pipeline drives StagedRunner's
-# SPSC token rings, ready-flag handoff, overflow spill/pump, and round
-# barrier at 1/2/8 pipeline workers against the frozen tick-loop oracle —
-# a race in the ring cursors, the pooled token reuse, the resolve/execute
-# ordering edge, or the barrier handshake shows up as a TSan report and
-# as a bit-identity mismatch; the `pipeline` ctest label selects the
-# suite on its own), and skew-adaptive migration (test_serve_migration
-# runs migrated serving at 1/2/8 replica workers and 1/2/8 pipeline
-# workers against the single-threaded oracle, drives the sharded engine
-# over a MigratedMapping at 1/2/8 threads, and asserts the epoch audit
-# trail identical — a race between the control-plane planner and the
-# worker-side epoch-mapping reads shows up as a TSan report and as a
-# divergent rotation table; the `migration` ctest label selects the
-# mapping + serve migration suites together), and dynamic trees
-# (test_dyn_serve runs mixed read/write traffic at 1/2/8 replica workers
-# and 1/2/4 pipeline workers against the single-threaded oracle — the
-# control-plane touch() publishes each level's color row with a release
-# store that worker-side color_of() reads must acquire, so a
-# torn publication shows up as a TSan report and as a response or
-# mutation-log divergence; test_dyn_incremental re-checks the
-# incremental coloring bit-identical to a from-scratch rebuild after
-# every mutation batch, and test_engine_faults drives insert/erase
-# batches through fail-stop fault epochs at 2/8 workers — the `dyn`
-# ctest label selects the dynamic-tree suites plus the E24 smoke gate),
-# and real-memory arenas + adaptive selection (test_serve_mem touches
-# the immutable MemoryBackend slabs from the pipeline's resolve workers
-# at 1/2/8 workers while the oracle touches on the control plane — a
-# race in the concurrent touch path or the per-token TouchStats fold
-# shows up as a TSan report and as a totals/checksum divergence from
-# the single-threaded recount; test_serve_adaptive runs the
-# AdaptiveSelector's epoch switches at 1/2/8 replica and pipeline
-# workers against the oracle, so a race between the control-plane
-# selector and worker-side epoch-mapping reads surfaces as a report or
-# a response divergence — the `mem` ctest label selects the arena,
-# combinator, selector and serve-layer suites plus the E25 smoke gate).
+# on a cold ColorMapping), degraded mode (test_engine_faults runs the
+# fault-injected sharded engine at 1/2/8 threads and drives insert/erase
+# batches through fail-stop fault epochs at 2/8 workers), and dynamic
+# trees (test_dyn_incremental re-checks the incremental coloring
+# bit-identical to a from-scratch rebuild after every mutation batch).
+#
+# The serve layer is one control plane (src/serve/control.cpp) with two
+# executors, so its coverage is one story. The `serve`-labelled suites
+# race submitter threads into the striped inboxes, then run the same
+# configurations inline (lane drains through parallel_chunks at 1/2/8
+# workers) and staged (StagedRunner's SPSC token rings, ready-flag
+# handoff, overflow spill/pump and round barrier at 1/2/8 pipeline
+# workers) — across faults and retries, DRR and the shared pool, the
+# epoch mappings migration and adaptive selection hand to workers, the
+# dyn barrier's color publication (a release store worker-side
+# color_of() must acquire) and arena touches from resolve workers. A race
+# in any of them shows up as a TSan report and as a bit-identity mismatch
+# against the inline run or a pinned fingerprint (test_serve_golden).
 #
 #   tests/run_sanitizers.sh             # all three sanitizers, full suite
 #   tests/run_sanitizers.sh tsan        # one sanitizer
 #   tests/run_sanitizers.sh tsan Sim    # ctest -R filter (regex)
+#   tests/run_sanitizers.sh tsan -L serve   # ctest -L label
 #
 # Benchmarks are off in the sanitizer presets (google-benchmark under TSan
 # is noise, not signal); examples and tests build and run.
@@ -80,7 +50,9 @@ if [[ $# -ge 1 && -n "$1" ]]; then
   sanitizers=("$1")
 fi
 filter=()
-if [[ $# -ge 2 && -n "$2" ]]; then
+if [[ $# -ge 2 && "$2" == -L ]]; then
+  filter=(-L "${3:?-L needs a label}")
+elif [[ $# -ge 2 && -n "$2" ]]; then
   filter=(-R "$2")
 fi
 

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "pmtree/engine/engine.hpp"
+#include "pmtree/fault/plan.hpp"
 #include "pmtree/mapping/baselines.hpp"
 #include "pmtree/mapping/color.hpp"
 #include "pmtree/util/rng.hpp"
@@ -198,6 +199,72 @@ std::string family_name(const ::testing::TestParamInfo<int>& info) {
 
 INSTANTIATE_TEST_SUITE_P(AllFamilies, SessionDifferential,
                          ::testing::Values(0, 1, 2, 3), family_name);
+
+TEST(EngineSession, FaultedSessionMatchesMonolithicRunAndExtends) {
+  // The degraded loop reroutes by color, so a session carries a fault plan
+  // like any other option. Fed batch by batch and drained twice, the
+  // second drain must extend the first (its records for the first part
+  // unchanged) and equal CycleEngine::run on the same explicit arrivals.
+  // The second part arrives after the plan's last fail-stop: a fail-stop
+  // drains its queue onto the tail of the reroute target, behind requests
+  // that arrived in the meantime, so a replay spanning a fail-stop may
+  // delay earlier accesses — the serve layer never re-reads an earlier
+  // round's completions, and this test pins the case where none moves.
+  constexpr std::uint64_t kFailWindow = 48;
+  std::uint64_t rerouted = 0;
+  std::uint64_t stalled = 0;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    Rng rng(0xFA17ED00u + seed);
+    const CompleteBinaryTree tree(7 + static_cast<std::uint32_t>(rng.below(4)));
+    const auto mapping = random_mapping(tree, rng);
+    fault::FaultPlan::RandomOptions fopts;
+    fopts.seed = rng();
+    fopts.modules = mapping->num_modules();
+    fopts.fail_fraction = 0.3;
+    fopts.fail_window = kFailWindow;
+    fopts.slowdown_count = 4;
+    fopts.slowdown_window = 2 * kFailWindow;
+    fopts.slowdown_max_length = 64;
+    const fault::FaultPlan plan = fault::FaultPlan::random(fopts);
+    EngineOptions options = random_options(rng);
+    options.faults = &plan;
+
+    const Workload workload =
+        random_workload(tree, static_cast<int>(rng.below(4)), rng);
+    const std::size_t half = workload.size() / 2;
+    std::vector<std::uint64_t> arrivals = random_arrivals(workload.size(), rng);
+    for (std::size_t i = half; i < arrivals.size(); ++i) {
+      arrivals[i] += kFailWindow + arrivals[half == 0 ? 0 : half - 1];
+    }
+
+    EngineSession session(*mapping, options);
+    for (std::size_t i = 0; i < half; ++i) {
+      session.feed(workload[i], arrivals[i]);
+    }
+    const EngineResult first = session.drain();
+    for (std::size_t i = half; i < workload.size(); ++i) {
+      std::vector<Color> colors(workload[i].size());
+      mapping->color_of_batch(workload[i], colors);
+      session.feed_resolved(colors, arrivals[i]);
+    }
+    const EngineResult second = session.drain();
+    ASSERT_EQ(first.records.size(), half);
+    for (std::size_t i = 0; i < half; ++i) {
+      ASSERT_EQ(second.records[i].completion, first.records[i].completion)
+          << "access " << i;
+    }
+
+    const CycleEngine eng(*mapping);
+    const EngineResult want =
+        eng.run(workload, ArrivalSchedule::explicit_cycles(arrivals), options);
+    expect_same_result(second, want);
+    rerouted += second.rerouted_requests;
+    stalled += second.stalled_cycles;
+  }
+  EXPECT_GT(rerouted, 0u);
+  EXPECT_GT(stalled, 0u);
+}
 
 TEST(EngineSession, EmptySessionDrainsToEmptyResult) {
   const CompleteBinaryTree tree(8);

@@ -1,13 +1,12 @@
 // Staged-pipeline differential tests (DESIGN.md §14): the PALM-style
-// StagedRunner behind Server/Forest must be bit-identical,
-// request-for-request, to the frozen single-threaded tick loop
-// (pipeline.workers == 0, the differential oracle) at 1, 2 and 8 pipeline
-// workers — responses, batches, per-lane trajectories, tick/round counts
+// staged executor behind Server/Forest must be bit-identical,
+// request-for-request, to the inline executor (pipeline.workers == 0) at
+// 1, 2 and 8 pipeline workers — responses, batches, per-lane trajectories, tick/round counts
 // and every metrics section. The ONLY tolerated difference is the
 // "pipeline" stage-attribution section of a pipelined report's metrics,
 // which measures wall time and is checked for shape instead. Faulted
-// configurations must ignore the pipeline knob entirely and reproduce the
-// oracle byte-for-byte, extra section included (i.e. without one).
+// configurations run on the staged executor too and obey the same
+// contract.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -225,7 +224,9 @@ TEST(ServePipeline, ServerMatchesOracleAtEveryWorkerCount) {
   EXPECT_GT(total_rounds, 12u);
 }
 
-TEST(ServePipeline, FaultedServerIgnoresPipelineAndMatchesOracleExactly) {
+TEST(ServePipeline, FaultedServerRunsStagedAndMatchesInline) {
+  std::uint64_t rerouted = 0;
+  std::uint64_t retries = 0;
   for (std::uint64_t seed : {3u, 8u}) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     Config cfg = random_config(seed * 2654435761u);
@@ -242,15 +243,27 @@ TEST(ServePipeline, FaultedServerIgnoresPipelineAndMatchesOracleExactly) {
     cfg.faults =
         std::make_unique<fault::FaultPlan>(fault::FaultPlan::random(fopts));
     cfg.options.retry.max_retries = 2;
-    cfg.options.retry.attempt_timeout_cycles = 8;
+    cfg.options.retry.attempt_timeout_cycles = 3;
 
-    // Pipeline requested but faults present: the oracle path must run,
-    // byte-for-byte — including the absence of a "pipeline" section.
-    const ServeReport oracle = run_server(cfg, 0);
-    const ServeReport piped = run_server(cfg, 8);
-    ASSERT_EQ(piped.to_json().dump(), oracle.to_json().dump());
-    ASSERT_TRUE(piped.metrics.find("pipeline") == nullptr);
+    // Faulted lanes run on the staged executor like healthy ones — the
+    // session's degraded loop reroutes by color — bit for bit the inline
+    // run, with the stage attribution present.
+    const ServeReport inline_run = run_server(cfg, 0);
+    ASSERT_TRUE(inline_run.metrics.find("pipeline") == nullptr);
+    rerouted += inline_run.metrics.find("faults")
+                    ->find("rerouted_requests")
+                    ->as_uint();
+    retries += inline_run.metrics.find("faults")->find("retries")->as_uint();
+    for (const unsigned workers : {1u, 2u, 8u}) {
+      SCOPED_TRACE("pipeline_workers=" + std::to_string(workers));
+      const ServeReport piped = run_server(cfg, workers);
+      expect_same_serve_report(piped, inline_run);
+      expect_pipeline_stats_shape(piped.metrics, workers,
+                                  inline_run.batches.size());
+    }
   }
+  EXPECT_GT(rerouted, 0u);
+  EXPECT_GT(retries, 0u);
 }
 
 TEST(ServePipeline, EmptyFaultPlanStaysOnThePipeline) {
@@ -466,12 +479,11 @@ TEST(ServePipeline, ForestMatchesOracleAtEveryWorkerCount) {
   }
 }
 
-TEST(ServePipeline, ForestWithAnyFaultedTenantFallsBackToOracle) {
+TEST(ServePipeline, FaultedForestRunsStagedAndMatchesInline) {
   ForestConfig cfg = random_forest(0xF0BE57);
   Rng rng(0xF0BE57);
-  // One faulted tenant anywhere poisons the whole forest's pipeline
-  // eligibility (lanes share the runner; degraded lanes need the
-  // monolithic engine's reroute loop).
+  // One faulted tenant shares the runner with healthy ones; its lanes run
+  // the degraded loop, everyone else's the healthy one.
   TenantConfig& t = cfg.tenants[1];
   fault::FaultPlan::RandomOptions fopts;
   fopts.seed = rng();
@@ -487,10 +499,22 @@ TEST(ServePipeline, ForestWithAnyFaultedTenantFallsBackToOracle) {
   t.options.retry.max_retries = 2;
   t.options.retry.attempt_timeout_cycles = 8;
 
-  const ForestReport oracle = run_forest(cfg, 0);
-  const ForestReport piped = run_forest(cfg, 8);
-  ASSERT_EQ(piped.to_json().dump(), oracle.to_json().dump());
-  ASSERT_TRUE(piped.metrics.find("forest")->find("pipeline") == nullptr);
+  const ForestReport inline_run = run_forest(cfg, 0);
+  ASSERT_TRUE(inline_run.metrics.find("forest")->find("pipeline") == nullptr);
+  EXPECT_GT(inline_run.tenants[1]
+                .metrics.find("faults")
+                ->find("rerouted_requests")
+                ->as_uint(),
+            0u);
+  std::uint64_t batches = 0;
+  for (const TenantReport& tr : inline_run.tenants) batches += tr.batches.size();
+  for (const unsigned workers : {1u, 2u, 8u}) {
+    SCOPED_TRACE("pipeline_workers=" + std::to_string(workers));
+    const ForestReport piped = run_forest(cfg, workers);
+    expect_same_forest_report(piped, inline_run);
+    expect_pipeline_stats_shape(*piped.metrics.find("forest"), workers,
+                                batches);
+  }
 }
 
 }  // namespace
