@@ -30,7 +30,6 @@ using namespace pmtree;
 using engine::ArrivalSchedule;
 using engine::CycleEngine;
 using engine::EngineResult;
-using engine::Json;
 using engine::MetricsRegistry;
 
 constexpr std::uint32_t kM = 15;

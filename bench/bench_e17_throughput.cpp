@@ -31,15 +31,14 @@
 
 #include "bench_common.hpp"
 #include "pmtree/analysis/cost.hpp"
-#include "pmtree/engine/json.hpp"
 #include "pmtree/mapping/color.hpp"
 #include "pmtree/tree/tree.hpp"
+#include "pmtree/util/json.hpp"
 #include "pmtree/util/rng.hpp"
 
 namespace {
 
 using namespace pmtree;
-using engine::Json;
 
 bool smoke_mode() {
   const char* env = std::getenv("PMTREE_E17_SMOKE");

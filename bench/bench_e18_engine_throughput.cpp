@@ -41,12 +41,12 @@
 
 #include "bench_common.hpp"
 #include "pmtree/engine/engine.hpp"
-#include "pmtree/engine/json.hpp"
 #include "pmtree/engine/reference.hpp"
 #include "pmtree/engine/sharded.hpp"
 #include "pmtree/mapping/color.hpp"
 #include "pmtree/pms/workload.hpp"
 #include "pmtree/tree/tree.hpp"
+#include "pmtree/util/json.hpp"
 #include "pmtree/util/rng.hpp"
 
 namespace {
@@ -56,7 +56,6 @@ using engine::ArrivalSchedule;
 using engine::CycleEngine;
 using engine::EngineOptions;
 using engine::EngineResult;
-using engine::Json;
 using engine::ReferenceEngine;
 using engine::ShardedEngineRunner;
 using engine::ShardedOptions;

@@ -25,7 +25,7 @@
 // is handed to workers. color_of / color_of_batch are worker-safe: each
 // level's color store is published once through an acquire/release
 // pointer, and a worker only reads entries of nodes its batch carried,
-// which were touched before the cut (the TokenRing release-push / thread
+// which were touched before the cut (the TokenList release-push / thread
 // fork is the happens-before edge). Reads of never-touched coordinates
 // fall back to an allocation-free cold evaluation of the same recurrence,
 // so the mapping stays total and deterministic.

@@ -138,8 +138,10 @@ struct EngineOptions {
   std::uint64_t sample_stride = 64;
   /// Optional fault schedule (not owned; must outlive the run). nullptr or
   /// an empty plan take the healthy fast path bit for bit; a non-empty
-  /// plan switches to the per-cycle degraded loop (fail-stopped modules
-  /// drain onto reroute targets, slowed modules stall — fault/plan.hpp).
+  /// plan runs the same event loop in its faulted mode: fail-stopped
+  /// modules drain onto reroute targets, requests for dead modules
+  /// reroute at admission, slowed modules stall (fault/plan.hpp), and the
+  /// loop steps cycle by cycle.
   const fault::FaultPlan* faults = nullptr;
   /// Optional real-memory backend (not owned; must outlive the run).
   /// When set, every access's node payloads are actually loaded from the
@@ -181,11 +183,11 @@ namespace detail {
 
 /// The simulation core over pre-resolved colors: access i's requests are
 /// colors[first[i]] .. colors[first[i+1]-1] and route to those modules
-/// (a non-empty `options.faults` switches to the degraded loop, which
-/// reroutes fail-stopped modules by color). CycleEngine::run flattens +
-/// color-resolves and calls this; EngineSession::drain (session.hpp)
-/// accumulates the same arrays incrementally and calls it too — one loop,
-/// so the two entry points are bit-identical by construction.
+/// (under a non-empty `options.faults`, fail-stopped modules reroute by
+/// color, in the same loop). CycleEngine::run flattens + color-resolves
+/// and calls this; EngineSession::drain (session.hpp) accumulates the
+/// same arrays incrementally and calls it too — one loop, so the two
+/// entry points are bit-identical by construction.
 [[nodiscard]] EngineResult run_resolved(std::uint32_t modules,
                                         std::span<const std::size_t> first,
                                         std::span<const Color> colors,

@@ -14,25 +14,31 @@
 //   staged (workers >= 1) — PALM-style, on a worker pool, so consecutive
 //   batches occupy different stages concurrently:
 //
-//     cut (control) ─▶ resolve (the step + conflict histogram, any
-//     worker) ─▶ execute (append to the owning lane's EngineSession)
+//     cut (control) ─▶ resolve (the step, any worker) ─▶ execute
+//     (append to the owning lane's EngineSession)
 //     ─▶ [round barrier] drain (simulate lanes) ─▶ assembly (control)
 //
 // Determinism is by construction, not by luck:
 //
-//   * Stage handoff is SPSC rings of batch tokens. The control plane is
-//     the only producer; each ring has exactly one consumer. Token i is
-//     resolved by worker i mod P (any order is fine — resolution is a
-//     pure function of the batch), but lane rings are drained strictly
-//     front-first, and a lane token is consumed only once its `ready`
-//     flag is set. Every lane therefore observes its batches in exactly
-//     the canonical cut order at ANY worker count.
+//   * Stage handoff is unbounded SPSC token lists linked through the
+//     BatchTokens themselves: one per resolver, one per lane. The control
+//     plane is the only producer; each list has exactly one consumer.
+//     Token i is resolved by worker i mod P (any order is fine —
+//     resolution is a pure function of the batch), but lane lists are
+//     walked strictly front-first, and a lane token is consumed only once
+//     its `ready` flag is set. Every lane therefore observes its batches
+//     in exactly the canonical cut order at ANY worker count. The inline
+//     executor walks the same lane lists at the barrier.
 //   * Execution is EngineSession (engine/session.hpp): a lane's result is
 //     a pure function of the (colors, arrival) sequence fed to it, faulted
 //     lanes included.
 //   * Nothing any worker computes feeds back into control-plane decisions
 //     mid-round; the round barrier (close_round) is the only point at
 //     which control reads worker output.
+//
+// A round's tokens all live in the runner's pooled storage until
+// assembly, so the lists bound nothing and cost nothing: a cut never
+// waits for a consumer, and a consumer never waits for the control plane.
 //
 // Stage-attribution counters (nanoseconds per stage, barrier wait,
 // batches in flight) export via stats() into ServeMetrics' "pipeline"
@@ -64,21 +70,14 @@ namespace pmtree::serve {
 struct PipelineOptions {
   /// Pipeline worker threads: 0 selects the inline executor (no pool;
   /// the per-batch step runs per lane at each round barrier), any value
-  /// >= 1 the staged one. Results are bit-identical at every setting — the count only
-  /// changes wall-clock.
+  /// >= 1 the staged one. Results are bit-identical at every setting —
+  /// the count only changes wall-clock.
   unsigned workers = 0;
-  /// Capacity of each handoff ring, in batch tokens (rounded up to a
-  /// power of two, minimum 2). Bounds how much of a round the consumers
-  /// see before the round barrier: once a ring fills, further cuts park
-  /// in a control-plane overflow queue and are pumped into the ring as
-  /// the consumer catches up — the Marchal/Sinnen/Vivien
-  /// memory-vs-makespan dial, without ever blocking the tick loop.
-  std::size_t queue_depth = 256;
 };
 
 /// One batch riding the executor. Created by the control plane at cut
 /// time, filled by the per-batch step, fed to its lane and finally moved
-/// out by assembly. Tokens live in a deque owned by the runner — stable
+/// out by assembly. Tokens live in chunks owned by the runner — stable
 /// addresses, so stages pass raw pointers.
 struct BatchToken {
   FormedBatch batch;            ///< nodes raw at cut; coalesced by resolve
@@ -100,27 +99,49 @@ struct BatchToken {
   /// (acquire). This is the per-token ordering edge that keeps lane feeds
   /// canonical while resolution itself runs out of order.
   std::atomic<bool> ready{false};
+  /// Intrusive links of the token lists: this token's successor on its
+  /// resolver's list and on its lane's list (nullptr = last so far).
+  std::atomic<BatchToken*> next_resolve{nullptr};
+  std::atomic<BatchToken*> next_lane{nullptr};
 };
 
-/// Single-producer single-consumer ring of token pointers. The producer
-/// is always the control plane; the consumer is one worker. Lock-free;
-/// the runner's condvar only parks/wakes threads, it never guards ring
-/// state.
-class TokenRing {
+/// Unbounded single-producer single-consumer list of tokens, linked
+/// through one of each token's two links. The producer is always the
+/// control plane; the consumer is one worker (or, inline, the lane's
+/// barrier thread). Lock-free and allocation-free; the runner's condvar
+/// only parks/wakes threads, it never guards list state. The consumer
+/// resets the list when it drains at the round barrier, while the
+/// control plane is parked there.
+class TokenList {
  public:
-  explicit TokenRing(std::size_t capacity);
+  explicit TokenList(std::atomic<BatchToken*> BatchToken::*link) noexcept
+      : link_(link) {}
+  TokenList(const TokenList&) = delete;  // tail_/cursor_ point into *this
+  TokenList& operator=(const TokenList&) = delete;
 
-  /// Producer side. False when full (caller waits on the runner signal).
-  bool push(BatchToken* token) noexcept;
-  /// Consumer side: front token, or nullptr when empty.
-  [[nodiscard]] BatchToken* front() const noexcept;
-  void pop() noexcept;
+  /// Producer side: appends `token`, publishing it (release).
+  void push(BatchToken* token) noexcept {
+    (token->*link_).store(nullptr, std::memory_order_relaxed);
+    tail_->store(token, std::memory_order_release);
+    tail_ = &(token->*link_);
+  }
+  /// Consumer side: front token, or nullptr when none is published yet.
+  [[nodiscard]] BatchToken* front() const noexcept {
+    return cursor_->load(std::memory_order_acquire);
+  }
+  /// Consumer side: steps past front() (which must be non-null).
+  void pop() noexcept { cursor_ = &(front()->*link_); }
+  /// Consumer side, at the round barrier only: empties the list.
+  void reset() noexcept {
+    head_.store(nullptr, std::memory_order_relaxed);
+    tail_ = cursor_ = &head_;
+  }
 
  private:
-  std::vector<BatchToken*> slots_;
-  std::size_t mask_ = 0;
-  std::atomic<std::size_t> head_{0};  ///< consumer cursor
-  std::atomic<std::size_t> tail_{0};  ///< producer cursor
+  std::atomic<BatchToken*> BatchToken::*link_;
+  std::atomic<BatchToken*> head_{nullptr};
+  std::atomic<BatchToken*>* tail_ = &head_;    ///< producer: next push slot
+  std::atomic<BatchToken*>* cursor_ = &head_;  ///< consumer: front slot
 };
 
 /// One execution lane: a Server replica or a Forest tenant-lane, with
@@ -155,10 +176,10 @@ class StagedRunner {
   void begin_run();
 
   /// Hands one freshly cut batch to the executor (control plane only).
-  /// Inline, it waits for the round barrier. Staged, it never blocks:
-  /// full rings spill into per-ring overflow queues that the control
-  /// plane pumps as consumers advance. `mapping` (optional) is the
-  /// batch's epoch-mapping override — see BatchToken::mapping.
+  /// It never blocks: the token joins its lane's list (and, staged, its
+  /// resolver's list). Inline, the step waits for the round barrier.
+  /// `mapping` (optional) is the batch's epoch-mapping override — see
+  /// BatchToken::mapping.
   void cut(FormedBatch batch, std::uint32_t lane, std::uint32_t tenant = 0,
            const TreeMapping* mapping = nullptr);
 
@@ -194,9 +215,9 @@ class StagedRunner {
     return static_cast<unsigned>(workers_.size());
   }
 
-  /// Stage attribution snapshot: {"workers","rounds","batches",
+  /// Stage attribution snapshot: {"workers","lanes","rounds","batches",
   /// "max_in_flight","stage_ns":{"control","resolve","execute","drain",
-  /// "barrier"},"max_batch_conflicts","simd_kernel"}.
+  /// "barrier"},"simd_kernel"}.
   [[nodiscard]] Json stats() const;
 
   /// Control-plane bookkeeping: adds the tick-loop time since `start` to
@@ -207,13 +228,9 @@ class StagedRunner {
   void worker_loop(unsigned me);
   bool work_once(unsigned me, std::uint64_t& drained_upto);
   /// The per-batch step both executors run: coalesce, arena touch and
-  /// color resolution into `colors` (plus the conflict histogram when
-  /// staged).
+  /// color resolution into `colors`.
   void resolve(BatchToken& token, std::vector<Color>& colors);
   void bump() noexcept;
-  /// Control plane only: tops rings up from their overflow queues.
-  /// Returns true when any token moved (consumers may need a wake).
-  bool pump();
 
   std::vector<LaneSpec> lanes_;
   std::vector<engine::EngineSession> sessions_;   ///< one per lane
@@ -224,16 +241,8 @@ class StagedRunner {
   std::vector<std::unique_ptr<BatchToken[]>> token_chunks_;
   std::size_t token_count_ = 0;                   ///< live tokens this round
 
-  std::deque<TokenRing> resolve_rings_;  ///< one per worker (pinned)
-  std::deque<TokenRing> lane_rings_;     ///< one per lane (pinned)
-  /// Control-plane spill for full rings, FIFO per ring (resolver rings
-  /// first, then lane rings — same indexing as the ring vectors). Only
-  /// the control plane touches these; tokens enter a ring in cut order.
-  std::vector<std::deque<BatchToken*>> resolve_overflow_;
-  std::vector<std::deque<BatchToken*>> lane_overflow_;
-  /// Inline executor: each lane's batches cut this round, in cut order.
-  std::vector<std::vector<BatchToken*>> inline_lanes_;
-  std::size_t overflowed_ = 0;  ///< tokens currently parked in overflow
+  std::deque<TokenList> resolve_lists_;  ///< one per worker (pinned)
+  std::deque<TokenList> lane_lists_;     ///< one per lane (pinned)
 
   std::vector<std::thread> workers_;  ///< empty for the inline executor
   unsigned drain_threads_ = 1;
@@ -263,7 +272,6 @@ class StagedRunner {
   std::atomic<std::uint64_t> drain_ns_{0};
   std::atomic<std::uint64_t> barrier_ns_{0};
   std::atomic<std::uint64_t> executed_round_{0};  ///< fed tokens this round
-  std::atomic<std::uint32_t> max_conflicts_{0};
   std::uint64_t batches_total_ = 0;
   std::uint64_t rounds_total_ = 0;
   std::uint64_t max_in_flight_ = 0;

@@ -12,8 +12,7 @@
 //
 // The type lives in util (namespace pmtree) so that layers below the
 // engine — pms traces in particular — can export JSON without a dependency
-// cycle; pmtree/engine/json.hpp re-exports it as engine::Json for the
-// existing engine-layer spelling.
+// cycle. Code inside pmtree::engine still spells it plain `Json`.
 #pragma once
 
 #include <cstdint>

@@ -17,13 +17,20 @@
 //     as long as no active module drains inside it. Full per-busy-cycle
 //     depth sampling pins the engine to per-cycle stepping; strided/off
 //     sampling (EngineOptions) unlocks the bulk path.
+//
+// A fault plan runs through the same loop: fail-stops drain and reroute
+// queues, slowdowns gate service, and the run steps cycle by cycle while
+// the plan is set (tests/test_engine_faults.cpp holds it to the
+// reference).
 #include "pmtree/engine/engine.hpp"
 
 #include <algorithm>
 #include <cassert>
 #include <limits>
+#include <optional>
 #include <span>
 
+#include "export.hpp"
 #include "pmtree/mem/arena.hpp"
 #include "pmtree/util/simd.hpp"
 
@@ -101,216 +108,6 @@ void touch_workload(const mem::MemoryBackend& memory,
   result.mem_checksum = stats.checksum;
 }
 
-void export_metrics(MetricsRegistry& metrics, const std::string& prefix,
-                    const EngineResult& result) {
-  metrics.counter(prefix + ".accesses").add(result.accesses);
-  metrics.counter(prefix + ".requests").add(result.requests);
-  metrics.counter(prefix + ".cycles").add(result.completion_cycle);
-  metrics.counter(prefix + ".busy_cycles").add(result.busy_cycles);
-  metrics.gauge(prefix + ".queue_high_water")
-      .set(static_cast<std::int64_t>(result.max_queue_depth()));
-  metrics.histogram(prefix + ".latency").merge(result.latency);
-  metrics.histogram(prefix + ".queue_depth").merge(result.queue_depth);
-}
-
-// The degraded loop: per-cycle stepping (no bulk spans — failure and
-// slowdown boundaries can land on any cycle) over the same flat arena,
-// with three extra rules from fault/plan.hpp, applied in this per-cycle
-// order so both engines agree bit for bit:
-//
-//   1. failure processing — every module whose fail cycle has arrived
-//      drains its FIFO, in (cycle, module) order, onto its reroute target;
-//   2. admission — requests colored to an already-dead module enqueue on
-//      the target instead;
-//   3. depth observation, then service — a module retires its head request
-//      only when timeline.serves_at(m, t) says so; a backlogged module
-//      skipped by a slowdown counts one stalled module-cycle.
-//
-// Rerouting is by color (timeline.redirect(m)), so the loop runs on
-// resolved colors alone, like the healthy core, and run_resolved hands it
-// every faulted run — CycleEngine::run and EngineSession::drain alike.
-// Reroute targets never fail (FaultTimeline draws them from the modules
-// with no fail-stop), so a request moves at most once and the arena
-// segment for module m is safely capped at its own routed load plus the
-// full load of every module that reroutes onto it.
-EngineResult run_faulted(const std::uint32_t modules,
-                         std::span<const std::size_t> first,
-                         std::span<const Color> colors,
-                         const ArrivalSchedule& schedule,
-                         const EngineOptions& options) {
-  const fault::FaultTimeline timeline(*options.faults, modules);
-  const std::size_t n = first.size() - 1;
-  assert(n < std::numeric_limits<std::uint32_t>::max());
-
-  EngineResult result;
-  result.accesses = n;
-  result.served.assign(modules, 0);
-  result.queue_high_water.assign(modules, 0);
-  result.records.resize(n);
-
-  std::vector<std::size_t> cap(modules, 0);
-  for (const Color c : colors) cap[c] += 1;
-  // A target absorbs at most the full routed load of every module folding
-  // onto it; a dead module keeps its own segment (requests sit there until
-  // the drain) and, never being a target itself, its cap is still the pure
-  // routed count when read here.
-  for (const std::uint32_t d : timeline.dead_modules()) {
-    cap[timeline.redirect(d)] += cap[d];
-  }
-  std::vector<std::size_t> qbase(modules + 1, 0);
-  for (std::uint32_t m = 0; m < modules; ++m) qbase[m + 1] = qbase[m] + cap[m];
-  std::vector<std::uint32_t> arena(qbase[modules]);
-  std::vector<std::size_t> head(qbase.begin(), qbase.end() - 1);
-  std::vector<std::size_t> tail = head;
-
-  std::vector<std::uint32_t> active;
-  active.reserve(modules);
-  std::vector<std::uint32_t> outstanding(n, 0);
-
-  const EngineOptions::DepthSampling sampling = options.sampling;
-  const std::uint64_t stride =
-      std::max<std::uint64_t>(options.sample_stride, 1);
-  const bool per_cycle =
-      sampling == EngineOptions::DepthSampling::kEveryBusyCycle;
-  std::uint64_t zero_samples = 0;
-
-  std::uint64_t t = 0;
-  std::size_t next = 0;
-  std::size_t done = 0;
-  std::size_t in_flight = 0;
-
-  const auto complete = [&](const AccessRecord& rec) {
-    result.latency.record(rec.latency());
-    result.completion_cycle = std::max(result.completion_cycle, rec.completion);
-    done += 1;
-  };
-
-  const auto push = [&](std::uint32_t m, std::uint32_t id) {
-    if (tail[m] == head[m]) active.push_back(m);
-    arena[tail[m]] = id;
-    tail[m] += 1;
-    const std::uint64_t depth = tail[m] - head[m];
-    result.queue_high_water[m] = std::max(result.queue_high_water[m], depth);
-  };
-
-  const auto admit = [&](std::size_t i, std::uint64_t cycle) {
-    const std::size_t size = first[i + 1] - first[i];
-    AccessRecord& rec = result.records[i];
-    rec.id = i;
-    rec.requests = size;
-    rec.arrival = cycle;
-    result.requests += size;
-    outstanding[i] = static_cast<std::uint32_t>(size);
-    if (size == 0) {
-      rec.completion = cycle;
-      complete(rec);
-      return;
-    }
-    in_flight += 1;
-    for (std::size_t r = first[i]; r < first[i + 1]; ++r) {
-      Color m = colors[r];
-      if (timeline.dead_at(m, cycle)) {
-        m = timeline.redirect(m);
-        result.rerouted_requests += 1;
-      }
-      push(m, static_cast<std::uint32_t>(i));
-    }
-  };
-
-  const std::vector<fault::FaultTimeline::FailEvent>& events =
-      timeline.fail_events();
-  std::size_t next_fail = 0;
-
-  while (done < n) {
-    // 1. Failure processing: drain newly-dead modules onto their targets.
-    while (next_fail < events.size() && events[next_fail].cycle <= t) {
-      const std::uint32_t d = events[next_fail].module;
-      next_fail += 1;
-      if (tail[d] == head[d]) continue;
-      const std::uint32_t r = timeline.redirect(d);
-      for (std::size_t h = head[d]; h < tail[d]; ++h) {
-        push(r, arena[h]);
-        result.rerouted_requests += 1;
-      }
-      head[d] = tail[d];
-      for (std::size_t a = 0; a < active.size(); ++a) {
-        if (active[a] == d) {
-          active[a] = active.back();
-          active.pop_back();
-          break;
-        }
-      }
-    }
-
-    // 2. Admission, exactly as the healthy loop (redirect inside admit).
-    if (schedule.closed_loop()) {
-      while (next < n && done == next) {
-        admit(next, t);
-        next += 1;
-      }
-      if (in_flight == 0) {
-        if (per_cycle ||
-            (sampling == EngineOptions::DepthSampling::kStrided &&
-             result.busy_cycles % stride == 0)) {
-          zero_samples += modules;
-        }
-        result.busy_cycles += 1;
-        break;
-      }
-    } else {
-      while (next < n && schedule.arrival_cycle(next) <= t) {
-        admit(next, t);
-        next += 1;
-      }
-      if (in_flight == 0) {
-        if (done == n) break;
-        t = std::max(t, schedule.arrival_cycle(next));
-        continue;
-      }
-    }
-
-    // 3a. Depth observation (per-cycle stepping: a strided sample is due
-    // exactly when the current busy ordinal hits the stride).
-    if (per_cycle || (sampling == EngineOptions::DepthSampling::kStrided &&
-                      result.busy_cycles % stride == 0)) {
-      for (const std::uint32_t m : active) {
-        result.queue_depth.record(tail[m] - head[m]);
-      }
-      zero_samples += modules - active.size();
-    }
-
-    // 3b. Service, gated per module by the fault timeline.
-    for (std::size_t a = 0; a < active.size();) {
-      const std::uint32_t m = active[a];
-      if (!timeline.serves_at(m, t)) {
-        result.stalled_cycles += 1;
-        a += 1;
-        continue;
-      }
-      const std::uint32_t id = arena[head[m]];
-      head[m] += 1;
-      AccessRecord& rec = result.records[id];
-      rec.completion = std::max(rec.completion, t + 1);
-      if (--outstanding[id] == 0) {
-        complete(rec);
-        in_flight -= 1;
-      }
-      result.served[m] += 1;
-      if (head[m] == tail[m]) {
-        active[a] = active.back();
-        active.pop_back();
-      } else {
-        a += 1;
-      }
-    }
-    result.busy_cycles += 1;
-    t += 1;
-  }
-
-  if (zero_samples != 0) result.queue_depth.record(0, zero_samples);
-  return result;
-}
-
 }  // namespace
 
 EngineResult CycleEngine::run(const Workload& workload,
@@ -338,26 +135,34 @@ EngineResult CycleEngine::run(const Workload& workload,
   }
 
   if (metrics_ != nullptr) {
-    export_metrics(*metrics_, prefix_, result);
-    if (options.faults != nullptr && !options.faults->empty()) {
-      metrics_->counter(prefix_ + ".rerouted_requests")
-          .add(result.rerouted_requests);
-      metrics_->counter(prefix_ + ".stalled_cycles").add(result.stalled_cycles);
-    }
+    detail::export_metrics(*metrics_, prefix_, result, options);
   }
   return result;
 }
 
 namespace detail {
 
+void export_metrics(MetricsRegistry& metrics, const std::string& prefix,
+                    const EngineResult& result, const EngineOptions& options) {
+  metrics.counter(prefix + ".accesses").add(result.accesses);
+  metrics.counter(prefix + ".requests").add(result.requests);
+  metrics.counter(prefix + ".cycles").add(result.completion_cycle);
+  metrics.counter(prefix + ".busy_cycles").add(result.busy_cycles);
+  if (options.faults != nullptr && !options.faults->empty()) {
+    metrics.counter(prefix + ".rerouted_requests").add(result.rerouted_requests);
+    metrics.counter(prefix + ".stalled_cycles").add(result.stalled_cycles);
+  }
+  metrics.gauge(prefix + ".queue_high_water")
+      .set(static_cast<std::int64_t>(result.max_queue_depth()));
+  metrics.histogram(prefix + ".latency").merge(result.latency);
+  metrics.histogram(prefix + ".queue_depth").merge(result.queue_depth);
+}
+
 EngineResult run_resolved(const std::uint32_t modules,
                           std::span<const std::size_t> first,
                           std::span<const Color> colors,
                           const ArrivalSchedule& schedule,
                           const EngineOptions& options) {
-  if (options.faults != nullptr && !options.faults->empty()) {
-    return run_faulted(modules, first, colors, schedule, options);
-  }
   const std::size_t n = first.size() - 1;
   // Arena entries are 32-bit access ids; a workload that large could not
   // be materialized in memory anyway.
@@ -384,9 +189,11 @@ EngineResult run_resolved(const std::uint32_t modules,
   //                 intervals arrive in nondecreasing-start order, so the
   //                 union folds into one running interval.
   // The depth histogram stays empty (kOff records nothing), which is why
-  // sampling modes keep the general loop below. O(total entries), no
+  // sampling modes keep the general loop below, and so do faulted runs
+  // (a failure or slowdown breaks the recurrence). O(total entries), no
   // arena, no per-cycle scans — this is the serve pipeline's drain path.
-  if (!schedule.closed_loop() &&
+  const bool faulted = options.faults != nullptr && !options.faults->empty();
+  if (!faulted && !schedule.closed_loop() &&
       options.sampling == EngineOptions::DepthSampling::kOff) {
     std::vector<std::uint64_t> last_serve(modules, 0);
     std::uint64_t busy_lo = 0;
@@ -435,6 +242,23 @@ EngineResult run_resolved(const std::uint32_t modules,
     return result;
   }
 
+  // A non-empty fault plan (fault/plan.hpp) adds three rules to the loop,
+  // applied in this per-cycle order so the event core and ReferenceEngine
+  // agree bit for bit:
+  //   1. failure processing — every module whose fail cycle has arrived
+  //      drains its FIFO, in (cycle, module) order, onto its reroute
+  //      target;
+  //   2. admission — requests colored to an already-dead module enqueue on
+  //      the target instead;
+  //   3. service — a module retires its head request only when
+  //      timeline.serves_at(m, t) says so; a backlogged module skipped by
+  //      a slowdown counts one stalled module-cycle.
+  // Failure and slowdown boundaries can land on any cycle, so a faulted
+  // run steps cycle by cycle (idle gaps are still skipped). Rerouting is
+  // by color (timeline.redirect(m)), so resolved colors are all it needs.
+  std::optional<fault::FaultTimeline> timeline;
+  if (faulted) timeline.emplace(*options.faults, modules);
+
   // Flat arena queues: module m's FIFO is arena[qbase[m], qbase[m+1]), a
   // segment sized to the exact number of requests the run routes to m —
   // the conflict histogram of the resolved colors (SIMD-accelerated; see
@@ -449,8 +273,17 @@ EngineResult run_resolved(const std::uint32_t modules,
   } else {
     for (const Color c : colors) qbase[c + 1] += 1;
   }
+  // A reroute target absorbs at most the full routed load of every module
+  // folding onto it. Targets never fail (FaultTimeline draws them from the
+  // modules with no fail-stop), so a request moves at most once, and a
+  // dead module's own count is still its pure routed load when read here.
+  if (timeline) {
+    for (const std::uint32_t d : timeline->dead_modules()) {
+      qbase[timeline->redirect(d) + 1] += qbase[d + 1];
+    }
+  }
   for (std::uint32_t m = 0; m < modules; ++m) qbase[m + 1] += qbase[m];
-  std::vector<std::uint32_t> arena(colors.size());
+  std::vector<std::uint32_t> arena(qbase[modules]);
   std::vector<std::size_t> head(qbase.begin(), qbase.end() - 1);
   std::vector<std::size_t> tail = head;
 
@@ -483,6 +316,17 @@ EngineResult run_resolved(const std::uint32_t modules,
     done += 1;
   };
 
+  const auto push = [&](std::uint32_t m, std::uint32_t id) {
+    if (tail[m] == head[m]) active.push_back(m);
+    arena[tail[m]] = id;
+    tail[m] += 1;
+    // Depth only grows on a push and the reference observes it after the
+    // cycle's last push, so the per-push running max reproduces its
+    // high-water marks without a per-cycle module scan.
+    const std::uint64_t depth = tail[m] - head[m];
+    result.queue_high_water[m] = std::max(result.queue_high_water[m], depth);
+  };
+
   const auto admit = [&](std::size_t i, std::uint64_t cycle) {
     const std::size_t size = first[i + 1] - first[i];
     AccessRecord& rec = result.records[i];
@@ -499,19 +343,34 @@ EngineResult run_resolved(const std::uint32_t modules,
     }
     in_flight += 1;
     for (std::size_t r = first[i]; r < first[i + 1]; ++r) {
-      const Color m = colors[r];
-      if (tail[m] == head[m]) active.push_back(m);
-      arena[tail[m]] = static_cast<std::uint32_t>(i);
-      tail[m] += 1;
-      // Depth only grows on admission and the reference observes it after
-      // the cycle's last push, so the per-push running max reproduces its
-      // high-water marks without a per-cycle module scan.
-      const std::uint64_t depth = tail[m] - head[m];
-      result.queue_high_water[m] = std::max(result.queue_high_water[m], depth);
+      Color m = colors[r];
+      if (timeline && timeline->dead_at(m, cycle)) {
+        m = timeline->redirect(m);
+        result.rerouted_requests += 1;
+      }
+      push(m, static_cast<std::uint32_t>(i));
     }
   };
 
+  std::size_t next_fail = 0;  // next timeline->fail_events() entry
+
   while (done < n) {
+    // Failure processing: drain newly dead modules onto their targets.
+    while (timeline && next_fail < timeline->fail_events().size() &&
+           timeline->fail_events()[next_fail].cycle <= t) {
+      const std::uint32_t d = timeline->fail_events()[next_fail].module;
+      next_fail += 1;
+      if (tail[d] == head[d]) continue;
+      const std::uint32_t target = timeline->redirect(d);
+      for (std::size_t h = head[d]; h < tail[d]; ++h) {
+        push(target, arena[h]);
+        result.rerouted_requests += 1;
+      }
+      head[d] = tail[d];
+      *std::find(active.begin(), active.end(), d) = active.back();
+      active.pop_back();
+    }
+
     // Admission, exactly as the reference. Closed loop: one access in
     // flight at a time; open loop: everything whose arrival is due.
     if (schedule.closed_loop()) {
@@ -550,9 +409,9 @@ EngineResult run_resolved(const std::uint32_t modules,
     // service is deterministic — one pop per active module per cycle —
     // so a span of `span` cycles can be retired in bulk as long as no
     // active module drains inside it (the min-depth bound). Full
-    // per-busy-cycle sampling forces span == 1.
+    // per-busy-cycle sampling and a fault plan force span == 1.
     std::uint64_t span = 1;
-    if (!per_cycle) {
+    if (!per_cycle && !timeline) {
       std::uint64_t horizon = std::numeric_limits<std::uint64_t>::max();
       if (!schedule.closed_loop() && next < n) {
         // >= 1: every arrival due at t was admitted above.
@@ -593,6 +452,11 @@ EngineResult run_resolved(const std::uint32_t modules,
     // not matter — the last pop of an access always sees the full max.
     for (std::size_t a = 0; a < active.size();) {
       const std::uint32_t m = active[a];
+      if (timeline && !timeline->serves_at(m, t)) {
+        result.stalled_cycles += 1;
+        a += 1;
+        continue;
+      }
       std::size_t h = head[m];
       for (std::uint64_t j = 1; j <= span; ++j, ++h) {
         const std::uint32_t id = arena[h];

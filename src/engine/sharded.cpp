@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "export.hpp"
 #include "pmtree/util/parallel.hpp"
 
 namespace pmtree::engine {
@@ -75,20 +76,7 @@ ShardedResult ShardedEngineRunner::run(const Workload& workload,
 
   if (metrics_ != nullptr) {
     metrics_->counter(prefix_ + ".shards").add(shards);
-    metrics_->counter(prefix_ + ".accesses").add(merged.accesses);
-    metrics_->counter(prefix_ + ".requests").add(merged.requests);
-    metrics_->counter(prefix_ + ".cycles").add(merged.completion_cycle);
-    metrics_->counter(prefix_ + ".busy_cycles").add(merged.busy_cycles);
-    if (options.engine.faults != nullptr && !options.engine.faults->empty()) {
-      metrics_->counter(prefix_ + ".rerouted_requests")
-          .add(merged.rerouted_requests);
-      metrics_->counter(prefix_ + ".stalled_cycles")
-          .add(merged.stalled_cycles);
-    }
-    metrics_->gauge(prefix_ + ".queue_high_water")
-        .set(static_cast<std::int64_t>(merged.max_queue_depth()));
-    metrics_->histogram(prefix_ + ".latency").merge(merged.latency);
-    metrics_->histogram(prefix_ + ".queue_depth").merge(merged.queue_depth);
+    detail::export_metrics(*metrics_, prefix_, merged, options.engine);
   }
   return result;
 }

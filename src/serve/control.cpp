@@ -88,6 +88,17 @@ void validate(const PlaneTenant& tenant) {
             "backend instead"
           : nullptr;
   if (why != nullptr) throw std::invalid_argument(std::string("serve: ") + why);
+  // AdaptiveSelector scores every candidate into per-module scratch sized
+  // from the tenant mapping, and its epochs index the lane's engine arena.
+  if (!o.adaptive.enabled()) return;
+  for (const TreeMapping* c : o.adaptive.candidates) {
+    if (c == nullptr || c->tree() != tenant.mapping->tree() ||
+        c->num_modules() != tenant.mapping->num_modules()) {
+      throw std::invalid_argument(
+          "serve: adaptive candidates must color the tenant's tree with its "
+          "module count");
+    }
+  }
 }
 
 /// The canonical (submit_cycle, tenant, client, seq) order of everything

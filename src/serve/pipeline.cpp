@@ -24,41 +24,7 @@ std::uint64_t ns_since(Clock::time_point start) {
           .count());
 }
 
-std::size_t ceil_pow2(std::size_t n) {
-  std::size_t c = 2;
-  while (c < n) c *= 2;
-  return c;
-}
-
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// TokenRing
-
-TokenRing::TokenRing(std::size_t capacity)
-    : slots_(ceil_pow2(std::max<std::size_t>(capacity, 2))),
-      mask_(slots_.size() - 1) {}
-
-bool TokenRing::push(BatchToken* token) noexcept {
-  const std::size_t tail = tail_.load(std::memory_order_relaxed);
-  if (tail - head_.load(std::memory_order_acquire) == slots_.size()) {
-    return false;
-  }
-  slots_[tail & mask_] = token;
-  tail_.store(tail + 1, std::memory_order_release);
-  return true;
-}
-
-BatchToken* TokenRing::front() const noexcept {
-  const std::size_t head = head_.load(std::memory_order_relaxed);
-  if (tail_.load(std::memory_order_acquire) == head) return nullptr;
-  return slots_[head & mask_];
-}
-
-void TokenRing::pop() noexcept {
-  head_.store(head_.load(std::memory_order_relaxed) + 1,
-              std::memory_order_release);
-}
 
 // ---------------------------------------------------------------------------
 // StagedRunner
@@ -74,13 +40,12 @@ StagedRunner::StagedRunner(std::vector<LaneSpec> lanes,
     sessions_.emplace_back(*lane.mapping, lane.options);
   }
   results_.resize(lanes_.size());
-  for (unsigned w = 0; w < P; ++w) resolve_rings_.emplace_back(options.queue_depth);
-  for (std::size_t l = 0; l < lanes_.size(); ++l) {
-    lane_rings_.emplace_back(options.queue_depth);
+  for (unsigned w = 0; w < P; ++w) {
+    resolve_lists_.emplace_back(&BatchToken::next_resolve);
   }
-  resolve_overflow_.resize(P);
-  lane_overflow_.resize(lanes_.size());
-  inline_lanes_.resize(P == 0 ? lanes_.size() : 0);
+  for (std::size_t l = 0; l < lanes_.size(); ++l) {
+    lane_lists_.emplace_back(&BatchToken::next_lane);
+  }
   // With one hardware thread, a mid-round wake cannot add parallelism —
   // it only slices the same total work across more context switches — so
   // all waking is deferred to the round barrier there.
@@ -123,33 +88,14 @@ void StagedRunner::begin_run() {
   done_workers_ = 0;
 }
 
-bool StagedRunner::pump() {
-  if (overflowed_ == 0) return false;
-  bool moved = false;
-  const auto top_up = [&](TokenRing& ring, std::deque<BatchToken*>& spill) {
-    while (!spill.empty() && ring.push(spill.front())) {
-      spill.pop_front();
-      overflowed_ -= 1;
-      moved = true;
-    }
-  };
-  for (std::size_t l = 0; l < lane_rings_.size(); ++l) {
-    top_up(lane_rings_[l], lane_overflow_[l]);
-  }
-  for (std::size_t w = 0; w < resolve_rings_.size(); ++w) {
-    top_up(resolve_rings_[w], resolve_overflow_[w]);
-  }
-  return moved;
-}
-
 void StagedRunner::cut(FormedBatch batch, std::uint32_t lane,
                        std::uint32_t tenant, const TreeMapping* mapping) {
   assert(lane < lanes_.size());
   assert(mapping == nullptr ||
          mapping->num_modules() == lanes_[lane].mapping->num_modules());
-  // Pooled token storage (deque: element addresses are stable). A reused
+  // Pooled token storage (chunks: element addresses are stable). A reused
   // token keeps its colors capacity from earlier rounds; its ready flag
-  // is lowered again before any ring publishes the pointer.
+  // is lowered again before any list publishes the pointer.
   if (token_count_ == token_chunks_.size() * kTokenChunk) {
     token_chunks_.push_back(std::make_unique<BatchToken[]>(kTokenChunk));
   }
@@ -163,45 +109,27 @@ void StagedRunner::cut(FormedBatch batch, std::uint32_t lane,
   token.ready.store(false, std::memory_order_relaxed);
 
   batches_total_ += 1;
-  if (workers_.empty()) {  // inline: the step waits for the barrier
-    inline_lanes_[lane].push_back(&token);
-    return;
-  }
+  // Lane list first: the lane owner's consumption is ready-gated, so the
+  // token parks there inert until the resolver flips it. Pushing the
+  // resolve list last means a token is never resolvable before its lane
+  // position exists. Inline, the step waits for the barrier.
+  lane_lists_[lane].push(&token);
+  if (workers_.empty()) return;
   const std::uint64_t in_flight =
       token_count_ - executed_round_.load(std::memory_order_relaxed);
   max_in_flight_ = std::max(max_in_flight_, in_flight);
-
-  // FIFO through the overflow queue: once any token of a ring has
-  // spilled, later tokens spill behind it even if the ring has room.
-  const auto push_or_spill = [&](TokenRing& ring,
-                                 std::deque<BatchToken*>& spill) {
-    if (!spill.empty() || !ring.push(&token)) {
-      spill.push_back(&token);
-      overflowed_ += 1;
-    }
-  };
-  const unsigned resolver =
-      static_cast<unsigned>(cut_seq_++ % resolve_rings_.size());
-  // Lane ring first: the lane owner's consumption is ready-gated, so the
-  // token parks there inert until the resolver flips it. Pushing the
-  // resolve ring last means a token is never resolvable before its lane
-  // position exists.
-  push_or_spill(lane_rings_[lane], lane_overflow_[lane]);
-  push_or_spill(resolve_rings_[resolver], resolve_overflow_[resolver]);
+  resolve_lists_[cut_seq_++ % resolve_lists_.size()].push(&token);
   cut_round_.fetch_add(1, std::memory_order_release);
 
-  // Wake batching: consumers that are awake poll their rings themselves;
+  // Wake batching: consumers that are awake poll their lists themselves;
   // parked ones are woken at most once per kWakeBatch cuts (and not at
   // all mid-round on single-CPU hosts — the barrier wakes everyone).
+  constexpr std::uint64_t kWakeBatch = 16;
   cuts_since_wake_ += 1;
-  if (eager_wake_) {
-    pump();
-    constexpr std::uint64_t kWakeBatch = 16;
-    if (cuts_since_wake_ >= kWakeBatch &&
-        idle_workers_.load(std::memory_order_relaxed) > 0) {
-      cuts_since_wake_ = 0;
-      bump();
-    }
+  if (eager_wake_ && cuts_since_wake_ >= kWakeBatch &&
+      idle_workers_.load(std::memory_order_relaxed) > 0) {
+    cuts_since_wake_ = 0;
+    bump();
   }
 }
 
@@ -222,12 +150,13 @@ void StagedRunner::close_round() {
                     [&](unsigned, std::uint64_t begin, std::uint64_t end) {
                       std::vector<Color> colors;
                       for (std::uint64_t l = begin; l < end; ++l) {
-                        for (BatchToken* token : inline_lanes_[l]) {
+                        TokenList& list = lane_lists_[l];
+                        for (; BatchToken* token = list.front(); list.pop()) {
                           resolve(*token, colors);
                           sessions_[l].feed_resolved(
                               colors, token->batch.formed_cycle);
                         }
-                        inline_lanes_[l].clear();
+                        list.reset();
                         results_[l] = sessions_[l].drain();
                       }
                     });
@@ -236,32 +165,17 @@ void StagedRunner::close_round() {
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     // Release-ordered via the mutex AND the atomic store: a worker that
-    // observes the new closed_round_ also observes every ring push above
+    // observes the new closed_round_ also observes every list push above
     // (and the final cut_round_ count).
     closed_round_.store(round_, std::memory_order_release);
     ++signal_;
   }
   cv_.notify_all();
   cuts_since_wake_ = 0;
-  std::unique_lock<std::mutex> lock(mutex_);
-  while (done_workers_ != workers_.size()) {
-    // Snapshot before pumping: a consumer that frees ring space after the
-    // pump bumps the signal past `seen`, so the wait cannot miss it and
-    // leave the overflow stranded.
-    const std::uint64_t seen = signal_;
-    lock.unlock();
-    const bool moved = pump();  // rings are SPSC; producer side needs no lock
-    lock.lock();
-    if (moved) {
-      ++signal_;
-      cv_.notify_all();
-      continue;
-    }
-    cv_.wait(lock, [&] {
-      return done_workers_ == workers_.size() || signal_ != seen;
-    });
+  {
+    std::unique_lock<std::mutex> lock(mutex_);
+    cv_.wait(lock, [&] { return done_workers_ == workers_.size(); });
   }
-  assert(overflowed_ == 0);
   barrier_ns_.fetch_add(ns_since(start), std::memory_order_relaxed);
 }
 
@@ -271,8 +185,8 @@ void StagedRunner::add_control_ns_since(Clock::time_point start) {
 
 void StagedRunner::next_round() {
   // Safe without worker synchronization: close_round's barrier guarantees
-  // every ring is empty and every worker is parked with no token pointer
-  // in hand.
+  // every list was reset by its consumer and every worker is parked with
+  // no token pointer in hand.
   token_count_ = 0;  // keep pooled token storage
   executed_round_.store(0, std::memory_order_relaxed);
   cut_round_.store(0, std::memory_order_relaxed);
@@ -282,9 +196,9 @@ void StagedRunner::next_round() {
 
 void StagedRunner::resolve(BatchToken& token, std::vector<Color>& colors) {
   // The per-batch step: coalesce (sort/dedup/run-decompose; skipped for a
-  // batch the control plane already coalesced), SIMD color gather and,
-  // staged, the SIMD conflict histogram. All pure functions of the batch,
-  // so resolution order across workers is irrelevant.
+  // batch the control plane already coalesced), arena touch and SIMD color
+  // gather. All pure functions of the batch, so resolution order across
+  // workers is irrelevant.
   if (token.batch.decomposition.component_count() == 0) {
     token.batch.decomposition = BatchFormer::coalesce(token.batch.nodes);
   }
@@ -302,38 +216,25 @@ void StagedRunner::resolve(BatchToken& token, std::vector<Color>& colors) {
   const TreeMapping& mapping =
       token.mapping != nullptr ? *token.mapping : *lane.mapping;
   mapping.color_of_batch(nodes, std::span<Color>(colors.data(), colors.size()));
-
-  if (!workers_.empty() && !nodes.empty()) {
-    const std::uint32_t modules = lane.mapping->num_modules();
-    thread_local std::vector<std::uint32_t> counts;
-    counts.resize(modules);
-    simd::conflict_histogram(colors.data(), colors.size(), counts.data(),
-                             modules);
-    std::uint32_t max = 0;
-    for (std::uint32_t m = 0; m < modules; ++m) max = std::max(max, counts[m]);
-    std::uint32_t seen = max_conflicts_.load(std::memory_order_relaxed);
-    while (max > seen && !max_conflicts_.compare_exchange_weak(
-                             seen, max, std::memory_order_relaxed)) {
-    }
-  }
 }
 
 bool StagedRunner::work_once(unsigned me, std::uint64_t& drained_upto) {
   bool progress = false;
-  const unsigned P = static_cast<unsigned>(resolve_rings_.size());
+  const unsigned P = static_cast<unsigned>(resolve_lists_.size());
+  TokenList& resolvable = resolve_lists_[me];
 
   // Resolve stage: drain this worker's share of freshly cut tokens.
   // Timing wraps the whole drain (one clock pair per burst, not per
   // token); lane owners waiting on ready flags are woken by the single
   // bump after the stage loops.
-  if (resolve_rings_[me].front() != nullptr) {
+  if (resolvable.front() != nullptr) {
     const auto start = Clock::now();
-    while (BatchToken* token = resolve_rings_[me].front()) {
-      resolve_rings_[me].pop();
+    while (BatchToken* token = resolvable.front()) {
+      resolvable.pop();
       // Touch the NEXT batch's node array while this one resolves: the
       // batches were formed a whole round ago, so every resolve begins
       // with a DRAM-cold read that prefetching hides almost entirely.
-      if (const BatchToken* next = resolve_rings_[me].front()) {
+      if (const BatchToken* next = resolvable.front()) {
         const char* p =
             reinterpret_cast<const char*>(next->batch.nodes.data());
         const char* const end = p + next->batch.nodes.size() * sizeof(Node);
@@ -346,16 +247,17 @@ bool StagedRunner::work_once(unsigned me, std::uint64_t& drained_upto) {
     resolve_ns_.fetch_add(ns_since(start), std::memory_order_relaxed);
   }
 
-  // Execute stage: feed owned lanes front-first; a lane ring's head is
+  // Execute stage: feed owned lanes front-first; a lane list's front is
   // consumed only once resolved, which pins the feed order to cut order.
   std::uint64_t executed = 0;
-  for (std::size_t l = me; l < lane_rings_.size(); l += P) {
-    if (lane_rings_[l].front() == nullptr) continue;
+  for (std::size_t l = me; l < lane_lists_.size(); l += P) {
+    TokenList& list = lane_lists_[l];
+    if (list.front() == nullptr) continue;
     const auto start = Clock::now();
-    while (BatchToken* token = lane_rings_[l].front()) {
+    while (BatchToken* token = list.front()) {
       if (!token->ready.load(std::memory_order_acquire)) break;
       sessions_[l].feed_resolved(token->colors, token->batch.formed_cycle);
-      lane_rings_[l].pop();
+      list.pop();
       executed += 1;
       progress = true;
     }
@@ -364,19 +266,22 @@ bool StagedRunner::work_once(unsigned me, std::uint64_t& drained_upto) {
   if (executed != 0) {
     executed_round_.fetch_add(executed, std::memory_order_release);
   }
-  if (progress) bump();  // lane owners / the pumping control may be parked
+  if (progress) bump();  // lane owners waiting on ready may be parked
 
   // Drain at the round barrier: once the round is closed and every cut
-  // token of the round has been executed (which implies this worker's
-  // rings are empty AND the control plane's overflow queues are fully
-  // delivered), simulate the owned lanes' cumulative feeds.
+  // token of the round has been executed (which implies every list is
+  // walked to its end), simulate the owned lanes' cumulative feeds and
+  // empty this worker's lists for the next round — the control plane is
+  // parked in close_round, so no push can race the reset.
   const std::uint64_t closed = closed_round_.load(std::memory_order_acquire);
   if (closed > drained_upto &&
       executed_round_.load(std::memory_order_acquire) ==
           cut_round_.load(std::memory_order_acquire)) {
     const auto start = Clock::now();
-    for (std::size_t l = me; l < lane_rings_.size(); l += P) {
-      assert(lane_rings_[l].front() == nullptr);
+    resolvable.reset();
+    for (std::size_t l = me; l < lane_lists_.size(); l += P) {
+      assert(lane_lists_[l].front() == nullptr);
+      lane_lists_[l].reset();
       results_[l] = sessions_[l].drain();
     }
     drain_ns_.fetch_add(ns_since(start), std::memory_order_relaxed);
@@ -426,8 +331,6 @@ Json StagedRunner::stats() const {
   j.set("batches", Json(batches_total_));
   j.set("max_in_flight", Json(max_in_flight_));
   j.set("stage_ns", stage);
-  j.set("max_batch_conflicts",
-        Json(std::uint64_t{max_conflicts_.load(std::memory_order_relaxed)}));
   j.set("simd_kernel", Json(simd::active_kernel()));
   return j;
 }

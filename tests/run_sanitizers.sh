@@ -19,9 +19,10 @@
 # executors, so its coverage is one story. The `serve`-labelled suites
 # race submitter threads into the striped inboxes, then run the same
 # configurations inline (lane drains through parallel_chunks at 1/2/8
-# workers) and staged (StagedRunner's SPSC token rings, ready-flag
-# handoff, overflow spill/pump and round barrier at 1/2/8 pipeline
-# workers) — across faults and retries, DRR and the shared pool, the
+# workers) and staged (StagedRunner's SPSC token lists linked through the
+# batch tokens, the ready-flag handoff, each consumer's list reset at the
+# round barrier, and the barrier's park/wake at 1/2/8 pipeline workers)
+# — across faults and retries, DRR and the shared pool, the
 # epoch mappings migration and adaptive selection hand to workers, the
 # dyn barrier's color publication (a release store worker-side
 # color_of() must acquire) and arena touches from resolve workers. A race
@@ -32,6 +33,12 @@
 #   tests/run_sanitizers.sh tsan        # one sanitizer
 #   tests/run_sanitizers.sh tsan Sim    # ctest -R filter (regex)
 #   tests/run_sanitizers.sh tsan -L serve   # ctest -L label
+#   tests/run_sanitizers.sh tsan -L serve 5 # ... 5 runs, stop at a failure
+#   tests/run_sanitizers.sh tsan Sim 5      # same with a -R filter
+#
+# A trailing repeat count N runs the selected tests up to N times each
+# (ctest --repeat until-fail:N): a race or a lost wakeup that shows once
+# in a few runs fails the whole command.
 #
 # Benchmarks are off in the sanitizer presets (google-benchmark under TSan
 # is noise, not signal); examples and tests build and run.
@@ -50,10 +57,21 @@ if [[ $# -ge 1 && -n "$1" ]]; then
   sanitizers=("$1")
 fi
 filter=()
+repeat_arg=3  # position of the optional repeat count
 if [[ $# -ge 2 && "$2" == -L ]]; then
   filter=(-L "${3:?-L needs a label}")
+  repeat_arg=4
 elif [[ $# -ge 2 && -n "$2" ]]; then
   filter=(-R "$2")
+fi
+repeat=()
+if [[ $# -ge $repeat_arg ]]; then
+  count="${!repeat_arg}"
+  if [[ ! "$count" =~ ^[1-9][0-9]*$ ]]; then
+    echo "repeat count must be a positive integer, got '$count'" >&2
+    exit 2
+  fi
+  repeat=(--repeat "until-fail:$count")
 fi
 
 jobs="$(nproc 2>/dev/null || echo 4)"
@@ -65,7 +83,8 @@ for name in "${sanitizers[@]}"; do
   echo "==== [$name] build ===="
   cmake --build --preset "$name" -j "$jobs"
   echo "==== [$name] ctest ===="
-  if ! ctest --test-dir "build-$name" --output-on-failure -j "$jobs" "${filter[@]}"; then
+  if ! ctest --test-dir "build-$name" --output-on-failure -j "$jobs" \
+      "${filter[@]}" "${repeat[@]}"; then
     failed+=("$name")
   fi
 done

@@ -11,14 +11,13 @@
 #include <vector>
 
 #include "pmtree/engine/histogram.hpp"
-#include "pmtree/engine/json.hpp"
+#include "pmtree/util/json.hpp"
 #include "pmtree/util/rng.hpp"
 
 namespace pmtree {
 namespace {
 
 using engine::Histogram;
-using engine::Json;
 using engine::MetricsRegistry;
 
 /// Exact sample quantile: the ceil(q*n)-th smallest value.

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <vector>
 
 #include "pmtree/dyn/dynamic_tree.hpp"
 #include "pmtree/dyn/incremental.hpp"
@@ -102,6 +103,41 @@ TEST_F(ServeContracts, ForestRejectsTenantEngineMemory) {
   TenantOptions t;
   t.engine.memory = &arenas_;
   EXPECT_THROW(forest.add_tenant(color_, t), std::invalid_argument);
+}
+
+/// Adaptive candidates the control plane must refuse: each would index
+/// past the selector's per-module scratch or the lane engine's arena in a
+/// Release build, where no assert catches it.
+struct MisshapenCandidates {
+  CompleteBinaryTree other_tree{9};
+  ColorMapping other_tree_color = make_optimal_color_mapping(other_tree, 7);
+  LabelTreeMapping more_modules{CompleteBinaryTree(8), 8};
+
+  [[nodiscard]] std::vector<const TreeMapping*> all() const {
+    return {nullptr, &other_tree_color, &more_modules};
+  }
+};
+
+TEST_F(ServeContracts, ServerRejectsMisshapenAdaptiveCandidates) {
+  const MisshapenCandidates bad;
+  for (const TreeMapping* candidate : bad.all()) {
+    ServerOptions opts;
+    opts.adaptive = adaptive();
+    opts.adaptive.candidates.push_back(candidate);
+    EXPECT_THROW(Server(color_, opts), std::invalid_argument);
+  }
+}
+
+TEST_F(ServeContracts, ForestRejectsMisshapenAdaptiveCandidates) {
+  const MisshapenCandidates bad;
+  for (const TreeMapping* candidate : bad.all()) {
+    Forest forest;
+    TenantOptions t;
+    t.adaptive = adaptive();
+    t.adaptive.candidates.push_back(candidate);
+    EXPECT_THROW(forest.add_tenant(color_, t), std::invalid_argument);
+    EXPECT_EQ(forest.tenant_count(), 0u);
+  }
 }
 
 TEST_F(ServeContracts, ForestSubmitToUnknownTenantThrows) {

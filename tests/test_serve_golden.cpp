@@ -309,7 +309,6 @@ Outcome server_modulo_retries(unsigned pw) {
   opts.retry.max_retries = 2;
   opts.retry.attempt_timeout_cycles = 3;
   opts.retry.backoff_base_cycles = 3;
-  opts.pipeline.queue_depth = 2;
   return serve(mapping, opts, reads(8, 300, 12), pw);
 }
 

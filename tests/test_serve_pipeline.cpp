@@ -153,9 +153,9 @@ Config random_config(std::uint64_t seed) {
     cfg.options.retry.backoff_base_cycles = rng.between(1, 6);
     cfg.options.retry.backoff_cap_cycles = 64;
   }
-  // Tiny handoff rings sometimes: the control plane must block and drain
-  // correctly when the pipeline's queue_depth is the bottleneck.
-  if (rng.chance(1, 3)) cfg.options.pipeline.queue_depth = 2;
+  // Kept draw: it once picked tiny handoff rings, and dropping it would
+  // reshuffle every later random choice.
+  (void)rng.chance(1, 3);
 
   const std::size_t count = rng.between(20, 120);
   std::uint64_t clock = 0;
@@ -352,7 +352,7 @@ ForestConfig random_forest(std::uint64_t seed) {
   const std::size_t tenant_count = rng.between(2, 6);
   cfg.options.global_queue_bound =
       rng.chance(1, 2) ? rng.between(tenant_count, 48) : 0;
-  if (rng.chance(1, 3)) cfg.options.pipeline.queue_depth = 2;
+  (void)rng.chance(1, 3);  // kept draw (see random_config above)
 
   for (std::size_t i = 0; i < tenant_count; ++i) {
     TenantConfig t;
