@@ -20,6 +20,7 @@
 #include <utility>
 #include <vector>
 
+#include "pmtree/util/json.hpp"
 #include "pmtree/util/table.hpp"
 
 namespace pmtree::bench {
@@ -50,6 +51,22 @@ inline void print_experiment(const std::string& id, const std::string& claim,
                 << " (PMTREE_BENCH_CSV=" << dir
                 << " — does the directory exist?)\n";
     }
+  }
+}
+
+/// Writes an experiment's JSON report as `file` (e.g.
+/// "BENCH_E16_engine.json") into the directory PMTREE_BENCH_JSON names —
+/// it must exist — or the working directory, and prints where; an
+/// unwritable path prints a warning instead.
+inline void write_report(const std::string& file, const Json& report) {
+  const char* dir = std::getenv("PMTREE_BENCH_JSON");
+  const std::string path = std::string(dir != nullptr ? dir : ".") + "/" + file;
+  std::ofstream out(path);
+  if (out) {
+    out << report.dump(2) << '\n';
+    std::cout << "JSON report written to " << path << "\n";
+  } else {
+    std::cout << "warning: could not write " << path << "\n";
   }
 }
 

@@ -12,8 +12,6 @@
 // this table.
 #include <benchmark/benchmark.h>
 
-#include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -92,18 +90,7 @@ void run_experiment() {
           " mixed accesses, COLOR vs baselines, M = " + std::to_string(kM),
       table);
 
-  std::string dir = ".";
-  if (const char* env = std::getenv("PMTREE_BENCH_JSON"); env != nullptr) {
-    dir = env;
-  }
-  const std::string path = dir + "/BENCH_E16_engine.json";
-  std::ofstream out(path);
-  if (out) {
-    out << report.dump(2) << '\n';
-    std::cout << "JSON trajectory report written to " << path << "\n";
-  } else {
-    std::cout << "warning: could not write " << path << "\n";
-  }
+  bench::write_report("BENCH_E16_engine.json", report);
 }
 
 void BM_EngineBatchDrain(benchmark::State& state) {

@@ -33,7 +33,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <thread>
@@ -324,18 +323,7 @@ void run_experiment() {
                           "bit-identical at every thread count")));
   report.set("sharded", std::move(sh));
 
-  std::string dir = ".";
-  if (const char* env = std::getenv("PMTREE_BENCH_JSON"); env != nullptr) {
-    dir = env;
-  }
-  const std::string path = dir + "/BENCH_E18_engine_throughput.json";
-  std::ofstream out(path);
-  if (out) {
-    out << report.dump(2) << '\n';
-    std::cout << "JSON throughput report written to " << path << "\n";
-  } else {
-    std::cout << "warning: could not write " << path << "\n";
-  }
+  bench::write_report("BENCH_E18_engine_throughput.json", report);
 }
 
 // google-benchmark timings on a fixed mid-size configuration.

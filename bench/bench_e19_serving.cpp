@@ -23,8 +23,6 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
-#include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -267,18 +265,7 @@ void run_experiment() {
   report.set("slo_vs_load", std::move(sweeps));
   report.set("worker_scaleout", std::move(jworkers));
 
-  std::string dir = ".";
-  if (const char* env = std::getenv("PMTREE_BENCH_JSON"); env != nullptr) {
-    dir = env;
-  }
-  const std::string path = dir + "/BENCH_E19_serving.json";
-  std::ofstream out(path);
-  if (out) {
-    out << report.dump(2) << '\n';
-    std::cout << "JSON serving report written to " << path << "\n";
-  } else {
-    std::cout << "warning: could not write " << path << "\n";
-  }
+  bench::write_report("BENCH_E19_serving.json", report);
 }
 
 // google-benchmark timings on a fixed mid-size configuration.

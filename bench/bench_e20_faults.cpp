@@ -29,8 +29,6 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
-#include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -399,18 +397,7 @@ void run_experiment() {
   headline.set("workers_bit_identical", Json(workers_identical));
   report.set("headline", std::move(headline));
 
-  std::string dir = ".";
-  if (const char* env = std::getenv("PMTREE_BENCH_JSON"); env != nullptr) {
-    dir = env;
-  }
-  const std::string path = dir + "/BENCH_E20_faults.json";
-  std::ofstream out(path);
-  if (out) {
-    out << report.dump(2) << '\n';
-    std::cout << "JSON fault report written to " << path << "\n";
-  } else {
-    std::cout << "warning: could not write " << path << "\n";
-  }
+  bench::write_report("BENCH_E20_faults.json", report);
 }
 
 // google-benchmark timings: the cycle engine healthy vs faulted on the

@@ -28,7 +28,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <thread>
@@ -458,18 +457,7 @@ void run_experiment() {
   headline.set("workers_bit_identical", Json(identical_ok));
   report.set("headline", std::move(headline));
 
-  std::string dir = ".";
-  if (const char* env = std::getenv("PMTREE_BENCH_JSON"); env != nullptr) {
-    dir = env;
-  }
-  const std::string path = dir + "/BENCH_E21_forest.json";
-  std::ofstream out(path);
-  if (out) {
-    out << report.dump(2) << '\n';
-    std::cout << "JSON forest report written to " << path << "\n";
-  } else {
-    std::cout << "warning: could not write " << path << "\n";
-  }
+  bench::write_report("BENCH_E21_forest.json", report);
 }
 
 // google-benchmark timings: the full forest control plane + lane

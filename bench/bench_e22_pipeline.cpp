@@ -33,7 +33,6 @@
 #include <array>
 #include <chrono>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -348,18 +347,7 @@ void run_experiment() {
               Json(hist_scalar / kN * 1e9));
   report.set("kernels", std::move(kernels));
 
-  std::string dir = ".";
-  if (const char* env = std::getenv("PMTREE_BENCH_JSON"); env != nullptr) {
-    dir = env;
-  }
-  const std::string path = dir + "/BENCH_E22_pipeline.json";
-  std::ofstream file(path);
-  if (file) {
-    file << report.dump(2) << '\n';
-    std::cout << "JSON pipeline report written to " << path << "\n";
-  } else {
-    std::cout << "warning: could not write " << path << "\n";
-  }
+  bench::write_report("BENCH_E22_pipeline.json", report);
 
   if (!all_identical) {
     std::cout << "ERROR: pipelined responses diverged from the oracle\n";

@@ -32,7 +32,6 @@
 
 #include <array>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -377,18 +376,7 @@ void run_experiment() {
   report.set("disabled_equals_static", Json(id_off));
   report.set("skew_tamed", Json(skew_tamed));
 
-  std::string dir = ".";
-  if (const char* env = std::getenv("PMTREE_BENCH_JSON"); env != nullptr) {
-    dir = env;
-  }
-  const std::string path = dir + "/BENCH_E23_migration.json";
-  std::ofstream file(path);
-  if (file) {
-    file << report.dump(2) << '\n';
-    std::cout << "JSON migration report written to " << path << "\n";
-  } else {
-    std::cout << "warning: could not write " << path << "\n";
-  }
+  bench::write_report("BENCH_E23_migration.json", report);
 
   if (!(id_w2 && id_w8 && id_p1 && id_p2 && id_off && skew_tamed)) {
     std::cout << "ERROR: migration determinism/skew invariants failed\n";

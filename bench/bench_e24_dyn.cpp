@@ -33,7 +33,6 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <optional>
@@ -370,18 +369,7 @@ void run_experiment() {
   report.set("strawman_identical", Json(id_strawman));
   report.set("colors_exact", Json(colors_exact));
 
-  std::string dir = ".";
-  if (const char* env = std::getenv("PMTREE_BENCH_JSON"); env != nullptr) {
-    dir = env;
-  }
-  const std::string path = dir + "/BENCH_E24_dyn.json";
-  std::ofstream file(path);
-  if (file) {
-    file << report.dump(2) << '\n';
-    std::cout << "JSON dyn report written to " << path << "\n";
-  } else {
-    std::cout << "warning: could not write " << path << "\n";
-  }
+  bench::write_report("BENCH_E24_dyn.json", report);
 
   if (!(id_w2 && id_w8 && id_p1 && id_p2 && id_strawman && colors_exact &&
         wrote)) {

@@ -32,9 +32,8 @@
 // PMTREE_E25_SMOKE=1 shrinks every dimension.
 #include <benchmark/benchmark.h>
 
-#include <cstdlib>
 #include <deque>
-#include <fstream>
+#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -466,18 +465,7 @@ void run_experiment() {
   report.set("adaptive_converged", Json(adaptive_converged));
   report.set("adaptive_unperturbed", Json(adaptive_unperturbed));
 
-  std::string dir = ".";
-  if (const char* env = std::getenv("PMTREE_BENCH_JSON"); env != nullptr) {
-    dir = env;
-  }
-  const std::string path = dir + "/BENCH_E25_realmem.json";
-  std::ofstream file(path);
-  if (file) {
-    file << report.dump(2) << '\n';
-    std::cout << "JSON real-memory report written to " << path << "\n";
-  } else {
-    std::cout << "warning: could not write " << path << "\n";
-  }
+  bench::write_report("BENCH_E25_realmem.json", report);
 
   if (!(id_onoff && id_w2 && id_w8 && id_p1 && id_p2 && touch_pipeline &&
         touch_recount && touch_checksum && adaptive_converged &&

@@ -43,10 +43,6 @@
 #include "pmtree/mapping/mapping.hpp"
 #include "pmtree/pms/workload.hpp"
 
-namespace pmtree::mem {
-class MemoryBackend;
-}  // namespace pmtree::mem
-
 namespace pmtree::engine {
 
 /// Per-access trajectory record.
@@ -72,13 +68,6 @@ struct EngineResult {
   /// Module-cycles where a backlogged module was kept from serving by a
   /// transient slowdown. Zero without a FaultPlan.
   std::uint64_t stalled_cycles = 0;
-  /// Real-memory traffic (pmtree/mem/arena.hpp): node payloads / bytes
-  /// actually loaded from the per-module arenas, and the order-invariant
-  /// checksum of what was read. All zero without EngineOptions::memory —
-  /// the backend observes the run, it never alters the trajectory.
-  std::uint64_t mem_nodes_touched = 0;
-  std::uint64_t mem_bytes_touched = 0;
-  std::uint64_t mem_checksum = 0;
   std::vector<AccessRecord> records;   ///< one entry per access, in order
   std::vector<std::uint64_t> served;   ///< per-module requests served
   std::vector<std::uint64_t> queue_high_water;  ///< per-module depth peak
@@ -143,11 +132,6 @@ struct EngineOptions {
   /// reroute at admission, slowed modules stall (fault/plan.hpp), and the
   /// loop steps cycle by cycle.
   const fault::FaultPlan* faults = nullptr;
-  /// Optional real-memory backend (not owned; must outlive the run).
-  /// When set, every access's node payloads are actually loaded from the
-  /// per-module arenas and accounted in EngineResult::mem_* — purely
-  /// observational, so the trajectory is bit-identical with it on or off.
-  const mem::MemoryBackend* memory = nullptr;
 };
 
 class CycleEngine {

@@ -25,13 +25,9 @@
 // hot subtree onto cold modules without touching the paper's
 // conflict-freedom inside the subtree (DESIGN.md §15).
 //
-// AdaptiveMapping composes a *choice*: it carries a list of candidate
-// mappings over the same tree and module count and delegates every color
-// query to the one chosen at construction. The serve layer's
-// AdaptiveSelector (pmtree/serve/adaptive.hpp) scores candidates against
-// the observed batch stream and mints a fresh AdaptiveMapping at each
-// epoch barrier where the choice changes — the runtime resolution of the
-// paper's R10 COLOR-vs-LABEL-TREE trade-off (DESIGN.md §17).
+// Choosing among whole mappings needs no combinator: the serve layer's
+// AdaptiveSelector (DESIGN.md §17) hands batches the chosen candidate
+// mapping itself.
 //
 // Composition audit (DESIGN.md §16): every combinator snapshots the
 // base's tree shape at construction (its own tree() is that snapshot). A
@@ -249,82 +245,6 @@ class MigratedMapping final : public TreeMapping {
   const TreeMapping& base_;
   std::uint32_t level_;
   std::vector<Color> rot_;
-};
-
-/// AdaptiveMapping freezes one *choice* among candidate mappings of the
-/// same tree and module count (DESIGN.md §17). It carries the full
-/// candidate list so an audit can see what was on the table, but every
-/// color query delegates to the single chosen candidate — the R10
-/// trade-off (COLOR vs LABEL-TREE vs baseline rank differently per
-/// template mix) resolved by measurement instead of by configuration.
-/// The serve layer's AdaptiveSelector scores candidates against the
-/// observed batch stream each epoch and mints one of these at the epoch
-/// barrier, exactly like MigrationPlanner mints MigratedMapping epochs.
-class AdaptiveMapping final : public TreeMapping {
- public:
-  /// Wraps `candidates` (not owned; each must outlive this object),
-  /// choosing `chosen` (an index into the list). All candidates must
-  /// color the same tree with the same number of modules — the selector
-  /// swaps the choice between epochs, and responses must stay comparable
-  /// module for module.
-  AdaptiveMapping(std::vector<const TreeMapping*> candidates,
-                  std::size_t chosen)
-      : TreeMapping(candidates.at(chosen)->tree()),
-        candidates_(std::move(candidates)),
-        chosen_(chosen) {
-    assert(!candidates_.empty());
-#ifndef NDEBUG
-    for (const TreeMapping* c : candidates_) {
-      assert(c != nullptr);
-      assert(c->tree() == tree() && "adaptive candidates must share a tree");
-      assert(c->num_modules() == candidates_.front()->num_modules() &&
-             "adaptive candidates must share a module count");
-    }
-#endif
-  }
-
-  [[nodiscard]] Color color_of(Node n) const override {
-    assert(!base_shape_changed() && "base mapping resized under wrapper");
-    return chosen_mapping().color_of(n);
-  }
-  /// Pure delegation to the chosen candidate's devirtualized batch kernel
-  /// — unlike the other combinators there is no post-pass at all, so the
-  /// adaptive layer costs one extra virtual dispatch per batch.
-  void color_of_batch(std::span<const Node> nodes,
-                      std::span<Color> out) const override {
-    assert(!base_shape_changed() && "base mapping resized under wrapper");
-    chosen_mapping().color_of_batch(nodes, out);
-  }
-  [[nodiscard]] std::uint32_t num_modules() const noexcept override {
-    return candidates_.front()->num_modules();
-  }
-  /// True when ANY candidate's tree shape drifted from the snapshot taken
-  /// at composition time — the selector may re-choose any candidate at
-  /// the next epoch, so all of them must stay valid, not just the chosen
-  /// one. See PermutedMapping::base_shape_changed.
-  [[nodiscard]] bool base_shape_changed() const noexcept {
-    for (const TreeMapping* c : candidates_) {
-      if (c->tree() != tree()) return true;
-    }
-    return false;
-  }
-  [[nodiscard]] const TreeMapping& chosen_mapping() const noexcept {
-    return *candidates_[chosen_];
-  }
-  [[nodiscard]] std::size_t chosen() const noexcept { return chosen_; }
-  [[nodiscard]] std::size_t candidate_count() const noexcept {
-    return candidates_.size();
-  }
-  [[nodiscard]] const TreeMapping& candidate(std::size_t i) const noexcept {
-    return *candidates_[i];
-  }
-  [[nodiscard]] std::string name() const override {
-    return chosen_mapping().name() + "+adaptive";
-  }
-
- private:
-  std::vector<const TreeMapping*> candidates_;
-  std::size_t chosen_;
 };
 
 }  // namespace pmtree

@@ -7,16 +7,16 @@
 // fixes one of them at configuration time is betting on a workload it has
 // not seen. This layer turns the choice into a measurement:
 //
-//   AdaptiveSelector — epoch controller, same skeleton as §15's
-//     MigrationPlanner. Every cut batch it resolves the batch's deduped
-//     node set through EVERY candidate mapping and scores each candidate
-//     by the batch's peak per-module request count (the makespan of the
-//     batch under the paper's one-request-per-module-per-cycle service
-//     model — the quantity the engine's completion time is governed by).
-//     Every `epoch_batches` batches it decays the scores and, when some
-//     candidate strictly beats the incumbent, mints an AdaptiveMapping
-//     (mapping/combinators.hpp) choosing it — at the epoch barrier,
-//     exactly like MigrationPlanner mints MigratedMapping epochs.
+//   AdaptiveSelector — epoch controller on the same skeleton as §15's
+//     MigrationPlanner (epoch.hpp). Every cut batch it resolves the
+//     batch's deduped node set through EVERY candidate mapping and scores
+//     each candidate by the batch's peak per-module request count (the
+//     makespan of the batch under the paper's one-request-per-module-per-
+//     cycle service model — the quantity the engine's completion time is
+//     governed by). Every `epoch_batches` batches it re-decides: when some
+//     candidate strictly beats the incumbent, batches cut from then on
+//     resolve against that candidate itself — one of the paper's
+//     mappings, with no wrapper in between. Then the scores decay.
 //   AdaptiveEvent — the audit record of one epoch decision.
 //
 // Determinism contract (inherited verbatim from §15): the selector is
@@ -31,12 +31,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <span>
 #include <vector>
 
-#include "pmtree/mapping/combinators.hpp"
 #include "pmtree/mapping/mapping.hpp"
+#include "pmtree/serve/batch.hpp"
+#include "pmtree/serve/epoch.hpp"
 #include "pmtree/tree/node.hpp"
 #include "pmtree/util/json.hpp"
 
@@ -79,9 +79,8 @@ struct AdaptiveEvent {
 /// tenant); all calls come from the single-threaded control plane.
 class AdaptiveSelector {
  public:
-  /// `base` and every policy candidate must outlive the selector (and
-  /// every mapping it mints). All candidates must share base's tree and
-  /// module count (asserted).
+  /// `base` and every policy candidate must outlive the selector. All
+  /// candidates must share base's tree and module count (asserted).
   AdaptiveSelector(const TreeMapping& base, const AdaptivePolicy& policy);
 
   /// Folds one freshly cut batch (deduped nodes) into every candidate's
@@ -90,36 +89,43 @@ class AdaptiveSelector {
   /// (audit only — it never affects the decision).
   void observe(std::span<const Node> nodes, std::uint64_t cycle);
 
+  /// The control plane's epoch hook: observe(batch.nodes, cycle), then the
+  /// mapping the batch resolves against.
+  const TreeMapping* on_cut(const FormedBatch& batch, std::uint64_t cycle) {
+    observe(batch.nodes, cycle);
+    return &current();
+  }
+
   /// The mapping batches cut *now* should resolve against: the base until
-  /// the first switch, then the latest minted AdaptiveMapping. Pointers
-  /// stay valid for the selector's lifetime (epochs live in a deque).
+  /// the first switch, then the chosen candidate itself.
   [[nodiscard]] const TreeMapping& current() const noexcept {
-    return epochs_.empty() ? base_ : static_cast<const TreeMapping&>(
-                                         epochs_.back());
+    return *active_;
   }
 
   /// The candidate currently serving, or nullptr while the base still is
-  /// (no epoch mapping minted yet — ties keep the base in place even when
-  /// it is listed among the candidates).
+  /// (no switch yet — ties keep the base in place even when it is listed
+  /// among the candidates).
   [[nodiscard]] const TreeMapping* active_candidate() const noexcept {
-    return epochs_.empty() ? nullptr : active_;
+    return switches_ == 0 ? nullptr : active_;
   }
   [[nodiscard]] std::uint64_t epochs_planned() const noexcept {
-    return epochs_planned_;
+    return log_.epochs;
   }
   [[nodiscard]] std::uint64_t batches_observed() const noexcept {
-    return batches_total_;
+    return log_.batches;
   }
   [[nodiscard]] const std::vector<AdaptiveEvent>& events() const noexcept {
-    return events_;
+    return log_.events;
   }
   [[nodiscard]] std::span<const std::uint64_t> scores() const noexcept {
     return scores_;
   }
 
-  /// Metrics payload for ServeMetrics::set_adaptive: policy echo with
-  /// candidate names, epoch/switch counters, the live scores, and the
-  /// last few events (full event list stays in events()).
+  /// The serve metrics section stats() is reported under.
+  static constexpr const char* kSection = "adaptive";
+  /// Metrics payload: policy echo with candidate names, epoch/switch
+  /// counters, the live scores, and the last few events (full event list
+  /// stays in events()). "mappings_minted" counts the switches.
   [[nodiscard]] Json stats() const;
 
  private:
@@ -131,16 +137,9 @@ class AdaptiveSelector {
   std::vector<Color> color_scratch_;
   std::vector<std::uint32_t> load_scratch_;  ///< per-module counts
   /// The mapping actually serving: &base_ until the first switch, then
-  /// always one of policy_.candidates. Compared by pointer when deciding
-  /// whether an epoch needs a new mint.
+  /// always one of policy_.candidates, compared by pointer when deciding.
   const TreeMapping* active_ = nullptr;
-  /// Epoch mapping snapshots. Deque: stable addresses — in-flight batch
-  /// tokens hold raw pointers to their epoch's mapping across a round.
-  std::deque<AdaptiveMapping> epochs_;
-  std::vector<AdaptiveEvent> events_;
-  std::uint32_t batches_since_decide_ = 0;
-  std::uint64_t batches_total_ = 0;
-  std::uint64_t epochs_planned_ = 0;
+  EpochLog<AdaptiveEvent> log_;
   std::uint64_t switches_ = 0;  ///< decisions that changed the mapping
 };
 

@@ -24,6 +24,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 
 #include "pmtree/engine/metrics.hpp"
 #include "pmtree/serve/batch.hpp"
@@ -60,34 +61,13 @@ class ServeMetrics {
   /// latency histogram — the tail the fault injection bought.
   void on_completed(const Response& response);
 
-  /// Attaches the staged pipeline's stage-attribution snapshot
-  /// (StagedRunner::stats — stage nanoseconds, barrier wait, batches in
-  /// flight, active SIMD kernel). summary() emits it as a "pipeline"
-  /// section only when set, so inline runs keep their exact JSON shape.
-  void set_pipeline(Json stats) { pipeline_ = std::move(stats); }
-
-  /// Attaches the skew-adaptive planner's snapshot
-  /// (MigrationPlanner::stats — epoch/move counters, per-module heat
-  /// prediction, recent events). Emitted as a "migration" section only
-  /// when set — static-mapping runs keep their exact JSON shape.
-  void set_migration(Json stats) { migration_ = std::move(stats); }
-
-  /// Attaches the dynamic-tree snapshot (mutation counters, live size,
-  /// incremental-colorer work). Emitted as a "dyn" section only when set
-  /// — read-only runs keep their exact JSON shape.
-  void set_dyn(Json stats) { dyn_ = std::move(stats); }
-
-  /// Attaches the adaptive-selection snapshot (AdaptiveSelector::stats —
-  /// candidate scores, epoch/switch counters, recent decisions). Emitted
-  /// as an "adaptive" section only when set — static-mapping runs keep
-  /// their exact JSON shape.
-  void set_adaptive(Json stats) { adaptive_ = std::move(stats); }
-
-  /// Attaches the real-memory traffic snapshot (MemoryBackend::stats —
-  /// arena layout facts plus the run's touched nodes/bytes/checksum).
-  /// Emitted as a "memory" section only when set — accounting-only runs
-  /// keep their exact JSON shape.
-  void set_memory(Json stats) { memory_ = std::move(stats); }
+  /// Attaches a named snapshot section: stage attribution ("pipeline"),
+  /// the epoch policy ("migration", "adaptive" or "dyn") or arena traffic
+  /// ("memory"). summary() emits sections after the core view in attach
+  /// order, so a run that attaches none keeps its exact JSON shape.
+  void set_section(const std::string& name, Json stats) {
+    sections_.set(name, std::move(stats));
+  }
 
   /// SLO snapshot:
   ///   {"latency": {"count","p50","p95","p99","p999","mean","max"},
@@ -127,11 +107,7 @@ class ServeMetrics {
   engine::Histogram* batch_nodes_;
   engine::Histogram* batch_requests_;
   engine::Histogram* retried_latency_;
-  Json pipeline_;   ///< null unless set_pipeline() was called
-  Json migration_;  ///< null unless set_migration() was called
-  Json dyn_;        ///< null unless set_dyn() was called
-  Json adaptive_;   ///< null unless set_adaptive() was called
-  Json memory_;     ///< null unless set_memory() was called
+  Json sections_ = Json::object();  ///< set_section(), in attach order
 };
 
 }  // namespace pmtree::serve

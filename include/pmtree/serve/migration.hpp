@@ -35,6 +35,8 @@
 
 #include "pmtree/mapping/combinators.hpp"
 #include "pmtree/mapping/mapping.hpp"
+#include "pmtree/serve/batch.hpp"
+#include "pmtree/serve/epoch.hpp"
 #include "pmtree/tree/node.hpp"
 #include "pmtree/util/json.hpp"
 
@@ -136,6 +138,13 @@ class MigrationPlanner {
   /// only — it never affects the plan).
   void observe(std::span<const Node> nodes, std::uint64_t cycle);
 
+  /// The control plane's epoch hook: observe(batch.nodes, cycle), then the
+  /// mapping the batch resolves against.
+  const TreeMapping* on_cut(const FormedBatch& batch, std::uint64_t cycle) {
+    observe(batch.nodes, cycle);
+    return &current();
+  }
+
   /// The mapping batches cut *now* should resolve against: the base until
   /// the first epoch, then the latest epoch's MigratedMapping. Pointers
   /// stay valid for the planner's lifetime (epochs live in a deque).
@@ -145,19 +154,21 @@ class MigrationPlanner {
   }
 
   [[nodiscard]] std::uint64_t epochs_planned() const noexcept {
-    return epochs_planned_;
+    return log_.epochs;
   }
   [[nodiscard]] std::uint64_t batches_observed() const noexcept {
-    return batches_total_;
+    return log_.batches;
   }
   [[nodiscard]] const std::vector<MigrationEvent>& events() const noexcept {
-    return events_;
+    return log_.events;
   }
   [[nodiscard]] const HeatTracker& heat() const noexcept { return heat_; }
 
-  /// Metrics payload for ServeMetrics::set_migration: policy echo, epoch
-  /// and move counters, predicted peak before/after the last plan, and the
-  /// last few events (full event list stays in events()).
+  /// The serve metrics section stats() is reported under.
+  static constexpr const char* kSection = "migration";
+  /// Metrics payload: policy echo, epoch and move counters, predicted peak
+  /// before/after the last plan, and the last few events (full event list
+  /// stays in events()).
   [[nodiscard]] Json stats() const;
 
  private:
@@ -170,10 +181,7 @@ class MigrationPlanner {
   /// Epoch mapping snapshots. Deque: stable addresses — in-flight batch
   /// tokens hold raw pointers to their epoch's mapping across a round.
   std::deque<MigratedMapping> epochs_;
-  std::vector<MigrationEvent> events_;
-  std::uint32_t batches_since_plan_ = 0;
-  std::uint64_t batches_total_ = 0;
-  std::uint64_t epochs_planned_ = 0;
+  EpochLog<MigrationEvent> log_;
   std::uint64_t subtrees_moved_ = 0;  ///< moves with rotation != 0, ever
 };
 

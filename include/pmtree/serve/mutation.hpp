@@ -7,10 +7,12 @@
 // canonical (client, seq) member order, after exact-duplicate dedup —
 // and the IncrementalColorer is touched with the batch's node set plus
 // every applied target, so by the time any worker resolves the batch the
-// colors it needs are published. The barrier is a pure function of the
-// cut sequence, which the one serve control plane mints identically for
-// either executor, so mutation verdicts and responses stay bit-identical
-// at 1/2/8 workers and across both executors.
+// colors it needs are published. The barrier (DynBarrier) is the
+// tenant's epoch policy in the control plane: consulted once per cut
+// batch, reported once as the "dyn" metrics section. It is a pure
+// function of the cut sequence, which the one serve control plane mints
+// identically for either executor, so mutation verdicts and responses
+// stay bit-identical at 1/2/8 workers and across both executors.
 //
 // Conflict scheduling: reads in the same composite instance observe the
 // tree as of the batch cut (their node sets were planned against it);
@@ -29,6 +31,7 @@
 
 #include "pmtree/dyn/dynamic_tree.hpp"
 #include "pmtree/dyn/incremental.hpp"
+#include "pmtree/mapping/mapping.hpp"
 #include "pmtree/serve/batch.hpp"
 #include "pmtree/serve/request.hpp"
 #include "pmtree/util/json.hpp"
@@ -68,23 +71,39 @@ struct MutationRecord {
   std::uint64_t applied_cycle = 0;  ///< the cut tick (the barrier's clock)
 };
 
-/// The apply barrier: runs `batch`'s writers against the binding at cut
-/// time. `applied` has one flag per canonical request index; a request's
-/// mutation applies exactly once even if retries re-dispatch it in a
-/// later batch. Appends one MutationRecord per writer (including deduped
-/// and rejected ones) to `log` and touches the colorer with the batch's
-/// node set and every applied insert target. Control-plane only.
-void apply_batch_mutations(const FormedBatch& batch,
-                           std::span<const Request> requests,
-                           const DynBinding& binding, std::uint64_t cycle,
-                           std::vector<char>& applied,
-                           std::vector<MutationRecord>& log);
+/// The apply barrier: each cut batch's writers apply to the bound tree in
+/// canonical member order, each request's mutation exactly once even if
+/// retries re-dispatch it, and every color the executor's step reads is
+/// published before the batch leaves the control plane. Control-plane
+/// only.
+class DynBarrier {
+ public:
+  /// `requests` are the tenant's, in canonical order (index = local id);
+  /// they and `log` must outlive the barrier.
+  DynBarrier(const DynBinding& binding, std::span<const Request> requests,
+             std::vector<MutationRecord>& log)
+      : binding_(binding),
+        requests_(requests),
+        applied_(requests.size(), 0),
+        log_(log) {}
 
-/// End-of-run snapshot for ServeMetrics::set_dyn: live-set size / version
-/// of the tree, per-status mutation counts, and the colorer's work
-/// counters (nodes_colored / touches — the incremental-vs-rebuild cost
-/// E24 charts). Pure accounting; identical across execution paths.
-[[nodiscard]] Json dyn_stats(const DynBinding& binding,
-                             const std::vector<MutationRecord>& log);
+  /// Runs `batch`'s writers at cut tick `cycle`, appending one
+  /// MutationRecord per writer (deduped and rejected ones included).
+  /// Returns nullptr: dyn batches resolve against the lane's colorer.
+  const TreeMapping* on_cut(const FormedBatch& batch, std::uint64_t cycle);
+
+  /// The serve metrics section stats() is reported under.
+  static constexpr const char* kSection = "dyn";
+  /// Live-set size and version of the tree, per-status mutation counts,
+  /// and the colorer's work counters (nodes_colored / touches — the
+  /// incremental-vs-rebuild cost E24 charts).
+  [[nodiscard]] Json stats() const;
+
+ private:
+  DynBinding binding_;
+  std::span<const Request> requests_;
+  std::vector<char> applied_;  ///< per request: mutation already applied
+  std::vector<MutationRecord>& log_;
+};
 
 }  // namespace pmtree::serve

@@ -83,11 +83,12 @@ struct BatchToken {
   FormedBatch batch;            ///< nodes raw at cut; coalesced by resolve
   std::uint32_t lane = 0;       ///< global execution lane
   std::uint32_t tenant = 0;     ///< forest tenant id (0 for Server)
-  /// Per-batch mapping override (skew-adaptive migration): when set, the
-  /// resolve stage colors against this mapping instead of the lane's.
-  /// Points at a MigrationPlanner epoch snapshot with the same module
-  /// count as the lane mapping; must outlive the round. nullptr keeps
-  /// the lane mapping (the static default).
+  /// Per-batch mapping override (the tenant's epoch policy): when set,
+  /// the resolve stage colors against this mapping instead of the lane's.
+  /// Points at a MigrationPlanner epoch snapshot or an AdaptiveSelector
+  /// candidate with the same module count as the lane mapping; must
+  /// outlive the round. nullptr keeps the lane mapping (the static
+  /// default).
   const TreeMapping* mapping = nullptr;
   std::vector<Color> colors;    ///< resolved colors (staged executor)
   /// Real-memory traffic of this batch (lane backend set): the step loads

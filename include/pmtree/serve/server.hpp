@@ -125,7 +125,6 @@ struct ServerOptions {
   /// same fault schedule into every replica; the serve layer folds the
   /// resulting reroute/stall counters into its metrics and, with a
   /// RetryPolicy, turns fault-inflated residencies into retries.
-  /// `engine.memory` must stay unset — arenas go in `memory` below.
   engine::EngineOptions engine;
   /// Batch executor (pipeline.hpp): `pipeline.workers == 0` (default) is
   /// inline — no pool; each round barrier runs the batches' step per
@@ -134,10 +133,11 @@ struct ServerOptions {
   /// configurations run on either, bit-identically.
   PipelineOptions pipeline;
 
-  // Migration, dyn and adaptive selection are control-plane decisions
-  // taken at batch cuts in canonical order, so no executor or worker count
-  // can change them. The constructor rejects (std::invalid_argument) any
-  // two of them together, and dyn together with `memory`.
+  // Migration, dyn and adaptive selection are the server's one epoch
+  // policy: a control-plane decision taken at batch cuts in canonical
+  // order, so no executor or worker count can change it. The constructor
+  // rejects (std::invalid_argument) more than one of them, and dyn
+  // together with `memory`.
 
   /// Skew-adaptive remapping (migration.hpp): a MigrationPlanner observes
   /// every cut batch and re-colors hot subtrees onto cold modules at epoch
@@ -201,9 +201,9 @@ class Server {
   /// `mapping` must outlive the server. Instruments land in the server's
   /// own registry (see registry()) under prefix "serve" plus
   /// "serve.replicaN.*" for each replica's engine run. Throws
-  /// std::invalid_argument for options that do not compose: dyn with
-  /// migration, adaptive or memory; migration with adaptive; or
-  /// engine.memory set (serve loads arenas through `memory`).
+  /// std::invalid_argument for options that do not compose: more than
+  /// one of dyn, migration and adaptive; dyn with memory; or adaptive
+  /// candidates of another tree or module count.
   explicit Server(const TreeMapping& mapping, ServerOptions options = {});
   ~Server();
 

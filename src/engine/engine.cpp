@@ -31,7 +31,6 @@
 #include <span>
 
 #include "export.hpp"
-#include "pmtree/mem/arena.hpp"
 #include "pmtree/util/simd.hpp"
 
 namespace pmtree::engine {
@@ -81,34 +80,8 @@ Json EngineResult::to_json() const {
   Json per_module = Json::array();
   for (const std::uint64_t s : served) per_module.push_back(Json(s));
   root.set("served", std::move(per_module));
-
-  if (mem_nodes_touched != 0) {
-    Json memory = Json::object();
-    memory.set("nodes", Json(mem_nodes_touched));
-    memory.set("bytes", Json(mem_bytes_touched));
-    memory.set("checksum", Json(mem::detail::hex64(mem_checksum)));
-    root.set("memory", std::move(memory));
-  }
   return root;
 }
-
-namespace {
-
-// Loads every access's payloads from the real-memory arenas and folds the
-// traffic into the result. Observation only: it runs after the trajectory
-// is fully decided, so results are bit-identical with the backend on/off.
-void touch_workload(const mem::MemoryBackend& memory,
-                    const Workload& workload, EngineResult& result) {
-  mem::TouchStats stats;
-  for (std::size_t i = 0; i < workload.size(); ++i) {
-    stats += memory.touch(workload[i]);
-  }
-  result.mem_nodes_touched = stats.nodes;
-  result.mem_bytes_touched = stats.bytes;
-  result.mem_checksum = stats.checksum;
-}
-
-}  // namespace
 
 EngineResult CycleEngine::run(const Workload& workload,
                               const ArrivalSchedule& schedule,
@@ -130,9 +103,6 @@ EngineResult CycleEngine::run(const Workload& workload,
 
   EngineResult result = detail::run_resolved(mapping_.num_modules(), first,
                                              colors, schedule, options);
-  if (options.memory != nullptr) {
-    touch_workload(*options.memory, workload, result);
-  }
 
   if (metrics_ != nullptr) {
     detail::export_metrics(*metrics_, prefix_, result, options);

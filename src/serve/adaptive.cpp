@@ -20,7 +20,10 @@ Json AdaptiveEvent::to_json() const {
 
 AdaptiveSelector::AdaptiveSelector(const TreeMapping& base,
                                    const AdaptivePolicy& policy)
-    : base_(base), policy_(policy), active_(&base) {
+    : base_(base),
+      policy_(policy),
+      active_(&base),
+      log_{policy.epoch_batches} {
   assert(policy_.enabled());
   scores_.assign(policy_.candidates.size(), 0);
   load_scratch_.assign(base_.num_modules(), 0);
@@ -53,17 +56,10 @@ void AdaptiveSelector::observe(std::span<const Node> nodes,
     }
     scores_[j] += peak;
   }
-  batches_total_ += 1;
-  batches_since_decide_ += 1;
-  if (batches_since_decide_ >= policy_.epoch_batches) {
-    batches_since_decide_ = 0;
-    decide(cycle);
-  }
+  if (log_.tick()) decide(cycle);
 }
 
 void AdaptiveSelector::decide(std::uint64_t cycle) {
-  epochs_planned_ += 1;
-
   // Argmin over the accumulated scores, ties to the lowest index — a
   // total order, so the decision is a pure function of the cut sequence.
   std::size_t best = 0;
@@ -85,29 +81,24 @@ void AdaptiveSelector::decide(std::uint64_t cycle) {
           ? incumbent
           : best;
   if (policy_.candidates[chosen] != active_) {
-    epochs_.emplace_back(policy_.candidates, chosen);
     active_ = policy_.candidates[chosen];
     switches_ += 1;
     switched = true;
   }
 
   AdaptiveEvent event;
-  event.epoch = epochs_planned_;
+  event.epoch = log_.epochs;
   event.cycle = cycle;
-  event.batches = batches_total_;
+  event.batches = log_.batches;
   event.scores = scores_;
   event.chosen = chosen;
   event.switched = switched;
-  events_.push_back(std::move(event));
+  log_.events.push_back(std::move(event));
 
   // Age the scores after the decision: next epoch's comparison weighs
   // this epoch's traffic at (1 - 2^-decay_shift), older traffic
   // geometrically less — same integer forgetting as HeatTracker::decay.
-  if (policy_.decay_shift < 64) {
-    for (std::uint64_t& s : scores_) {
-      s -= policy_.decay_shift == 0 ? s : s >> policy_.decay_shift;
-    }
-  }
+  for (std::uint64_t& s : scores_) decay_step(s, policy_.decay_shift);
 }
 
 Json AdaptiveSelector::stats() const {
@@ -122,22 +113,15 @@ Json AdaptiveSelector::stats() const {
 
   Json j = Json::object();
   j.set("policy", std::move(policy));
-  j.set("batches_observed", Json(batches_total_));
-  j.set("epochs_planned", Json(epochs_planned_));
-  j.set("mappings_minted", Json(std::uint64_t{epochs_.size()}));
+  j.set("batches_observed", Json(log_.batches));
+  j.set("epochs_planned", Json(log_.epochs));
+  j.set("mappings_minted", Json(switches_));
   j.set("switches", Json(switches_));
-  j.set("active", Json(active_ == nullptr ? "" : active_->name()));
+  j.set("active", Json(active_->name()));
   Json jscores = Json::array();
   for (const std::uint64_t s : scores_) jscores.push_back(Json(s));
   j.set("scores", std::move(jscores));
-  // The tail of the event log (bounded payload; the full log is in
-  // events() for tests and tools).
-  Json jevents = Json::array();
-  const std::size_t first = events_.size() > 8 ? events_.size() - 8 : 0;
-  for (std::size_t e = first; e < events_.size(); ++e) {
-    jevents.push_back(events_[e].to_json());
-  }
-  j.set("recent_events", std::move(jevents));
+  j.set("recent_events", log_.recent());
   return j;
 }
 

@@ -8,6 +8,7 @@
 #include <stdexcept>
 #include <tuple>
 #include <utility>
+#include <variant>
 
 #include "pmtree/serve/adaptive.hpp"
 #include "pmtree/serve/admission.hpp"
@@ -25,49 +26,54 @@ bool canonical_less(const Submitted& a, const Submitted& b) {
                                             b.request.client, b.request.seq);
 }
 
-/// The tenant's epoch controller: skew migration (§15) or adaptive
-/// selection (§17), observing every cut batch in canonical order and
-/// naming the mapping the batch resolves against (nullptr = the lane's
-/// static one). A tenant with a fault plan keeps its static mapping — the
-/// reroute table owns its color space.
-struct EpochPolicy {
-  explicit EpochPolicy(const PlaneTenant& tenant) {
-    const TenantOptions& o = tenant.options;
-    if (o.engine.faults != nullptr && !o.engine.faults->empty()) return;
-    if (o.migration.enabled()) {
-      planner = std::make_unique<MigrationPlanner>(*tenant.mapping, o.migration);
-    } else if (o.adaptive.enabled()) {
-      selector = std::make_unique<AdaptiveSelector>(*tenant.mapping, o.adaptive);
-    }
+/// No epoch policy: every batch resolves against the lane's mapping.
+struct StaticMapping {
+  static constexpr const char* kSection = nullptr;
+  const TreeMapping* on_cut(const FormedBatch&, std::uint64_t) {
+    return nullptr;
   }
-  [[nodiscard]] bool active() const noexcept { return planner || selector; }
-  const TreeMapping* observe(std::span<const Node> nodes, std::uint64_t t) {
-    if (planner) planner->observe(nodes, t);
-    if (selector) selector->observe(nodes, t);
-    return planner    ? &planner->current()
-           : selector ? &selector->current()
-                      : nullptr;
-  }
-
-  std::unique_ptr<MigrationPlanner> planner;
-  std::unique_ptr<AdaptiveSelector> selector;
+  [[nodiscard]] Json stats() const { return Json(); }
 };
+
+/// The tenant's one epoch policy: skew migration (§15), adaptive
+/// selection (§17) or the dyn barrier (§16). The plane consults it once
+/// per cut batch, in canonical order — on_cut names the mapping the batch
+/// resolves against (nullptr = the lane's static one) — and reports its
+/// stats() once, as the metrics section kSection.
+using EpochPolicy =
+    std::variant<StaticMapping, MigrationPlanner, AdaptiveSelector, DynBarrier>;
+
+/// The one place the policy is chosen (validate() admits at most one).
+/// Dyn comes first: it runs under faults too. A faulted tenant otherwise
+/// keeps its static mapping — the reroute table owns its color space.
+void choose_epoch_policy(EpochPolicy& policy, const PlaneTenant& tenant,
+                         std::span<const Request> requests,
+                         std::vector<MutationRecord>& log) {
+  const TenantOptions& o = tenant.options;
+  if (tenant.dyn.enabled()) {
+    policy.emplace<DynBarrier>(tenant.dyn, requests, log);
+  } else if (o.engine.faults != nullptr && !o.engine.faults->empty()) {
+    return;
+  } else if (o.migration.enabled()) {
+    policy.emplace<MigrationPlanner>(*tenant.mapping, o.migration);
+  } else if (o.adaptive.enabled()) {
+    policy.emplace<AdaptiveSelector>(*tenant.mapping, o.adaptive);
+  }
+}
 
 /// One tenant's control state for one run.
 struct TenantState {
   TenantState(const PlaneTenant& t, engine::MetricsRegistry& registry)
       : metrics(registry, t.metrics_prefix),
         admission(t.options.admission),
-        former(t.options.batch),
-        epochs(t) {}
+        former(t.options.batch) {}
 
   std::vector<Request> requests;  ///< canonical order; index = local id
   ServeMetrics metrics;
   AdmissionController admission;
   BatchFormer former;
-  EpochPolicy epochs;
+  EpochPolicy policy;  ///< chosen once the requests are in
   std::vector<std::uint32_t> attempts;  ///< retries issued, per request
-  std::vector<char> applied;            ///< dyn: mutation applied, per request
   std::size_t round_first_batch = 0;
 };
 
@@ -75,17 +81,11 @@ void validate(const PlaneTenant& tenant) {
   const TenantOptions& o = tenant.options;
   const bool dyn = tenant.dyn.enabled();
   const char* why =
-      dyn && o.migration.enabled()
-          ? "dyn serving and skew migration are mutually exclusive"
-      : dyn && o.adaptive.enabled()
-          ? "dyn serving and adaptive selection are mutually exclusive"
-      : o.migration.enabled() && o.adaptive.enabled()
-          ? "migration and adaptive selection both own the epoch mapping"
+      dyn + o.migration.enabled() + o.adaptive.enabled() > 1
+          ? "dyn serving, migration and adaptive selection each own the "
+            "epoch mapping; set at most one"
       : dyn && o.memory != nullptr
           ? "the real-memory arenas are sized for a frozen tree"
-      : o.engine.memory != nullptr
-          ? "engine.memory is not a serve option; set the serve memory "
-            "backend instead"
           : nullptr;
   if (why != nullptr) throw std::invalid_argument(std::string("serve: ") + why);
   // AdaptiveSelector scores every candidate into per-module scratch sized
@@ -304,7 +304,6 @@ PlaneReport ControlPlane::run() {
     st[i].requests.reserve(counts[i]);
     st[i].metrics.on_submitted(counts[i]);
     st[i].attempts.assign(counts[i], 0);
-    if (ten.dyn.enabled()) st[i].applied.assign(counts[i], 0);
     weights[i] = ten.options.weight;
   }
   if (all) all->on_submitted(order.size());
@@ -319,6 +318,10 @@ PlaneReport ControlPlane::run() {
     r.seq = q.seq;
     r.submit_cycle = q.submit_cycle;
     st[s->tenant].requests.push_back(std::move(s->request));
+  }
+  for (std::size_t i = 0; i < N; ++i) {
+    choose_epoch_policy(st[i].policy, tenants_[i], st[i].requests,
+                        report.mutations[i]);
   }
   // Every metrics event lands on the tenant's section and the aggregate.
   const auto each = [&](std::size_t i, const auto& record) {
@@ -358,29 +361,24 @@ PlaneReport ControlPlane::run() {
     unresolved -= 1;
   };
 
-  // Cuts one batch of tenant i at tick t: dispatch stamps, the dyn
-  // barrier, the epoch controller, then the executor. Batches an epoch
-  // controller or the dyn barrier reads are coalesced here, so both see
-  // the deduped node set; the rest coalesce in the executor's step.
+  // Cuts one batch of tenant i at tick t: dispatch stamps, the epoch
+  // policy, then the executor. Batches an epoch policy reads are
+  // coalesced here, so it sees the deduped node set; the rest coalesce in
+  // the executor's step.
   const auto cut = [&](std::size_t i, std::uint64_t t) {
     const PlaneTenant& ten = tenants_[i];
     TenantReport& tr = report.tenants[i];
-    FormedBatch batch = ten.dyn.enabled() || st[i].epochs.active()
-                            ? st[i].former.form_one(t, st[i].admission)
-                            : st[i].former.form_one_raw(t, st[i].admission);
+    FormedBatch batch = std::holds_alternative<StaticMapping>(st[i].policy)
+                            ? st[i].former.form_one_raw(t, st[i].admission)
+                            : st[i].former.form_one(t, st[i].admission);
     for (const std::size_t local : batch.members) {
       tr.responses[local].dispatch_cycle = t;
       tr.responses[local].batch = batch.id;
     }
     unresolved -= batch.members.size();
     tr.served_nodes += batch.requested_nodes;
-    if (ten.dyn.enabled()) {
-      // The PALM barrier: writers apply now, in canonical member order,
-      // and the colorer publishes every color the step will read.
-      apply_batch_mutations(batch, st[i].requests, ten.dyn, t, st[i].applied,
-                            report.mutations[i]);
-    }
-    const TreeMapping* epoch = st[i].epochs.observe(batch.nodes, t);
+    const TreeMapping* epoch = std::visit(
+        [&](auto& policy) { return policy.on_cut(batch, t); }, st[i].policy);
     const auto lane =
         ten.first_lane + static_cast<std::uint32_t>(batch.id % ten.lanes);
     runner.cut(std::move(batch), lane, static_cast<std::uint32_t>(i), epoch);
@@ -572,6 +570,12 @@ PlaneReport ControlPlane::run() {
   // ---- Final accounting + metrics, deterministic order. Lane trajectories
   // fold into the registry under stable names (lanes run without one, so
   // no worker ever shares it), fault counters to their tenant alone.
+  // Sections attach pipeline → epoch policy → memory, the order summaries
+  // dump them in. Stage attribution (wall time) only for the staged
+  // executor; inline reports keep their exact JSON shape.
+  if (runner.worker_count() > 0 && N > 0) {
+    (all ? *all : st[0].metrics).set_section("pipeline", runner.stats());
+  }
   for (std::size_t i = 0; i < N; ++i) {
     const PlaneTenant& ten = tenants_[i];
     TenantReport& tr = report.tenants[i];
@@ -592,23 +596,13 @@ PlaneReport ControlPlane::run() {
         m.on_replica_faults(res.rerouted_requests, res.stalled_cycles);
       });
     }
-    if (st[i].epochs.planner) {
-      st[i].metrics.set_migration(st[i].epochs.planner->stats());
-    }
-    if (st[i].epochs.selector) {
-      st[i].metrics.set_adaptive(st[i].epochs.selector->stats());
-    }
+    ServeMetrics& m = st[i].metrics;
+    std::visit([&](const auto& p) {
+      if (p.kSection != nullptr) m.set_section(p.kSection, p.stats());
+    }, st[i].policy);
     if (ten.options.memory != nullptr) {
-      st[i].metrics.set_memory(ten.options.memory->stats(tr.memory));
+      m.set_section("memory", ten.options.memory->stats(tr.memory));
     }
-    if (ten.dyn.enabled()) {
-      st[i].metrics.set_dyn(dyn_stats(ten.dyn, report.mutations[i]));
-    }
-  }
-  // Stage attribution (wall time) only for the staged executor; inline
-  // reports keep their exact JSON shape.
-  if (runner.worker_count() > 0 && N > 0) {
-    (all ? *all : st[0].metrics).set_pipeline(runner.stats());
   }
   for (std::size_t i = 0; i < N; ++i) {
     report.tenants[i].metrics = st[i].metrics.summary();

@@ -6,10 +6,10 @@
 // forest-wide metrics section (prefixes "forest" and "forest.t<i>"). The
 // plane owns, once, everything the two used to copy: the striped inboxes,
 // the canonical order, the expire → promote → intake → cut → observe tick
-// loop and its retry rounds, the per-tenant epoch controller (migration
-// or adaptive selection), the dyn mutation barrier and assembly. Batch
-// execution is StagedRunner's (pipeline.hpp); PipelineOptions::workers
-// only picks its executor.
+// loop and its retry rounds, the per-tenant epoch policy (migration,
+// adaptive selection or the dyn mutation barrier — at most one) and
+// assembly. Batch execution is StagedRunner's (pipeline.hpp);
+// PipelineOptions::workers only picks its executor.
 #pragma once
 
 #include <array>
@@ -89,9 +89,9 @@ class ControlPlane {
       : options_(std::move(options)), registry_(registry) {}
 
   /// Registers a tenant; returns its id. Throws std::invalid_argument
-  /// when its features do not compose: dyn with migration, adaptive
-  /// selection or arenas; migration with adaptive selection; or
-  /// engine.memory (serve loads arenas through its own memory option).
+  /// when its features do not compose: more than one of dyn, migration
+  /// and adaptive selection (each owns the epoch mapping), dyn with
+  /// arenas, or adaptive candidates of another tree or module count.
   /// Lane layout (first_lane/lanes) stays editable through tenants()
   /// until the first run().
   std::uint32_t add_tenant(PlaneTenant tenant);

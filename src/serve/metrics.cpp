@@ -129,11 +129,7 @@ Json ServeMetrics::summary() const {
   j.set("counters", counters);
   j.set("queues", queues);
   j.set("faults", faults);
-  if (!pipeline_.is_null()) j.set("pipeline", pipeline_);
-  if (!migration_.is_null()) j.set("migration", migration_);
-  if (!dyn_.is_null()) j.set("dyn", dyn_);
-  if (!adaptive_.is_null()) j.set("adaptive", adaptive_);
-  if (!memory_.is_null()) j.set("memory", memory_);
+  for (const auto& [name, section] : sections_.members()) j.set(name, section);
   return j;
 }
 

@@ -54,18 +54,9 @@ void HeatTracker::observe(std::span<const Node> nodes,
 }
 
 void HeatTracker::decay(std::uint32_t shift) noexcept {
-  // h -= h >> shift: geometric forgetting with integer arithmetic only.
-  // shift >= 64 would be UB on the raw operator; treat it as "no decay".
-  if (shift >= 64) return;
-  const auto age = [shift](std::uint64_t& h, std::uint64_t& lost) {
-    const std::uint64_t d = shift == 0 ? h : h >> shift;
-    h -= d;
-    lost += d;
-  };
   std::uint64_t lost = 0;
-  for (std::uint64_t& h : matrix_) age(h, lost);
-  std::uint64_t fixed_lost = 0;
-  for (std::uint64_t& h : fixed_) age(h, fixed_lost);
+  for (std::uint64_t& h : matrix_) lost += decay_step(h, shift);
+  for (std::uint64_t& h : fixed_) lost += decay_step(h, shift);
   // Row sums are recomputed exactly (per-cell floors do not commute with
   // the row-sum shift).
   const std::size_t subtrees = subtree_total_.size();
@@ -76,7 +67,7 @@ void HeatTracker::decay(std::uint32_t shift) noexcept {
     }
     subtree_total_[sid] = sum;
   }
-  total_ -= lost + fixed_lost;
+  total_ -= lost;
 }
 
 // ---------------------------------------------------------------------------
@@ -86,7 +77,8 @@ MigrationPlanner::MigrationPlanner(const TreeMapping& base,
                                    const MigrationPolicy& policy)
     : base_(base),
       policy_(policy),
-      heat_(policy.subtree_level, base.num_modules()) {
+      heat_(policy.subtree_level, base.num_modules()),
+      log_{policy.epoch_batches} {
   assert(policy_.enabled());
 }
 
@@ -98,12 +90,7 @@ void MigrationPlanner::observe(std::span<const Node> nodes,
   base_.color_of_batch(
       nodes, std::span<Color>(color_scratch_.data(), color_scratch_.size()));
   heat_.observe(nodes, color_scratch_);
-  batches_total_ += 1;
-  batches_since_plan_ += 1;
-  if (batches_since_plan_ >= policy_.epoch_batches) {
-    batches_since_plan_ = 0;
-    plan(cycle);
-  }
+  if (log_.tick()) plan(cycle);
 }
 
 void MigrationPlanner::plan(std::uint64_t cycle) {
@@ -111,7 +98,6 @@ void MigrationPlanner::plan(std::uint64_t cycle) {
   // (1 - 2^-decay_shift)^k in this plan — uniform scaling, so the decay
   // order (before selection) does not bias which subtrees look hot.
   heat_.decay(policy_.decay_shift);
-  epochs_planned_ += 1;
 
   const std::uint32_t M = heat_.modules();
   const std::uint32_t S = heat_.subtree_count();
@@ -154,9 +140,9 @@ void MigrationPlanner::plan(std::uint64_t cycle) {
   // module (c + r) mod M; pick the r minimizing the resulting peak, ties
   // to the smallest r (so a cold or already-balanced subtree stays put).
   MigrationEvent event;
-  event.epoch = epochs_planned_;
+  event.epoch = log_.epochs;
   event.cycle = cycle;
-  event.batches = batches_total_;
+  event.batches = log_.batches;
   event.peak_before = peak_before;
   for (const std::uint32_t sid : selected) {
     Color best_rot = 0;
@@ -184,10 +170,9 @@ void MigrationPlanner::plan(std::uint64_t cycle) {
     peak_after = std::max(peak_after, load[m]);
   }
   event.peak_after = peak_after;
-  events_.push_back(std::move(event));
-
   std::vector<Color> rotation(S, 0);
-  for (const auto& [sid, rot] : events_.back().moves) rotation[sid] = rot;
+  for (const auto& [sid, rot] : event.moves) rotation[sid] = rot;
+  log_.events.push_back(std::move(event));
   // Mint a new epoch mapping only when the table actually changes; cold
   // epochs keep the previous mapping (or the base) alive and allocation
   // stays proportional to real migrations.
@@ -212,23 +197,16 @@ Json MigrationPlanner::stats() const {
 
   Json j = Json::object();
   j.set("policy", std::move(policy));
-  j.set("batches_observed", Json(batches_total_));
-  j.set("epochs_planned", Json(epochs_planned_));
+  j.set("batches_observed", Json(log_.batches));
+  j.set("epochs_planned", Json(log_.epochs));
   j.set("mappings_minted", Json(std::uint64_t{epochs_.size()}));
   j.set("subtrees_moved", Json(subtrees_moved_));
   j.set("heat_total", Json(heat_.total()));
-  if (!events_.empty()) {
-    j.set("last_peak_before", Json(events_.back().peak_before));
-    j.set("last_peak_after", Json(events_.back().peak_after));
+  if (!log_.events.empty()) {
+    j.set("last_peak_before", Json(log_.events.back().peak_before));
+    j.set("last_peak_after", Json(log_.events.back().peak_after));
   }
-  // The tail of the event log (bounded payload; the full log is in
-  // events() for tests and tools).
-  Json jevents = Json::array();
-  const std::size_t first = events_.size() > 8 ? events_.size() - 8 : 0;
-  for (std::size_t e = first; e < events_.size(); ++e) {
-    jevents.push_back(events_[e].to_json());
-  }
-  j.set("recent_events", std::move(jevents));
+  j.set("recent_events", log_.recent());
   return j;
 }
 

@@ -5,7 +5,7 @@
 // every body), and print_experiment's PMTREE_BENCH_CSV path join
 // (trailing-slash directories must not produce "dir//file.csv"-style
 // surprises, and an unwritable directory must warn, not silently drop
-// the CSV).
+// the CSV); and write_report's PMTREE_BENCH_JSON round trip.
 #include "../bench/bench_common.hpp"
 
 #include <gtest/gtest.h>
@@ -15,6 +15,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
+#include <sstream>
 #include <string>
 
 namespace pmtree::bench {
@@ -99,6 +101,37 @@ TEST_F(BenchCsvEnv, MissingDirectoryWarnsOnStderrInsteadOfSilence) {
   const std::string err = ::testing::internal::GetCapturedStderr();
   EXPECT_NE(err.find("cannot write"), std::string::npos)
       << "a failed CSV export must be reported, got: " << err;
+}
+
+TEST(BenchJsonReport, WritesIntoTheBenchJsonDirectoryAndReadsBack) {
+  const char* prior = std::getenv("PMTREE_BENCH_JSON");
+  const std::string saved = prior != nullptr ? prior : "";
+  const std::string dir = ::testing::TempDir() + "pmtree_bench_json_test";
+  (void)::mkdir(dir.c_str(), 0755);
+  const std::string path = dir + "/BENCH_E99_test.json";
+  std::remove(path.c_str());
+
+  Json report = Json::object();
+  report.set("experiment", Json("E99"));
+  report.set("rows", Json(std::uint64_t{3}));
+  ::setenv("PMTREE_BENCH_JSON", dir.c_str(), 1);
+  ::testing::internal::CaptureStdout();
+  write_report("BENCH_E99_test.json", report);
+  const std::string out = ::testing::internal::GetCapturedStdout();
+  if (saved.empty()) {
+    ::unsetenv("PMTREE_BENCH_JSON");
+  } else {
+    ::setenv("PMTREE_BENCH_JSON", saved.c_str(), 1);
+  }
+
+  EXPECT_NE(out.find(path), std::string::npos) << out;
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << "no report at " << path;
+  std::stringstream text;
+  text << in.rdbuf();
+  const std::optional<Json> back = Json::parse(text.str());
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(back->dump(), report.dump());
 }
 
 }  // namespace

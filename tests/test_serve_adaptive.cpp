@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "pmtree/fault/plan.hpp"
 #include "pmtree/mapping/baselines.hpp"
 #include "pmtree/mapping/color.hpp"
 #include "pmtree/mapping/label_tree.hpp"
@@ -116,10 +117,8 @@ TEST(AdaptiveSelector, ConvergesToWhicheverCandidateTheWorkloadFavors) {
     }
     EXPECT_EQ(selector.epochs_planned(), 3u);
     ASSERT_EQ(selector.active_candidate(), c.winner);
-    EXPECT_EQ(&static_cast<const AdaptiveMapping&>(selector.current())
-                   .chosen_mapping(),
-              c.winner);
-    EXPECT_EQ(selector.current().name(), c.winner->name() + "+adaptive");
+    EXPECT_EQ(&selector.current(), c.winner);
+    EXPECT_EQ(selector.current().name(), c.winner->name());
   }
 }
 
@@ -410,6 +409,94 @@ TEST(ServeAdaptive, ForestAdaptsPerTenantWithWorkerInvariance) {
       expect_same_metrics_modulo_pipeline(gt.metrics, wt.metrics);
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Faulted tenants keep their static mapping: the fault plan's reroute
+// table owns the color space, so an adaptive policy is not installed.
+
+fault::FaultPlan faulted_plan(std::uint32_t modules, std::uint64_t seed) {
+  fault::FaultPlan::RandomOptions fopts;
+  fopts.seed = seed;
+  fopts.modules = modules;
+  fopts.fail_fraction = 0.2;
+  fopts.fail_window = 64;
+  fopts.slowdown_count = 2;
+  fopts.slowdown_window = 128;
+  fopts.slowdown_max_length = 64;
+  fopts.slowdown_max_period = 4;
+  return fault::FaultPlan::random(fopts);
+}
+
+TEST(ServeAdaptive, FaultedConfigurationKeepsTheStaticMapping) {
+  const CompleteBinaryTree tree(9);
+  const ColorMapping color(make_optimal_color_mapping(tree, 7));
+  const LabelTreeMapping label(tree, 7);
+  const auto requests = adaptive_requests(label, 240, 0xFA17);
+  const fault::FaultPlan plan = faulted_plan(label.num_modules(), 0xFA17);
+
+  ServerOptions with_policy = adaptive_options({&color, &label});
+  // Healthy, this policy switches off the base: the pin below is what
+  // keeps the faulted run on it.
+  const ServeReport healthy = run_once(label, with_policy, requests);
+  ASSERT_GE(healthy.metrics.find("adaptive")->find("switches")->as_uint(),
+            1u);
+
+  with_policy.engine.faults = &plan;
+  ServerOptions without_policy = with_policy;
+  without_policy.adaptive = AdaptivePolicy{};
+  const ServeReport got = run_once(label, with_policy, requests);
+  const ServeReport want = run_once(label, without_policy, requests);
+  ASSERT_EQ(got.to_json().dump(), want.to_json().dump());
+  EXPECT_EQ(got.metrics.find("adaptive"), nullptr)
+      << "a faulted run must not pretend it adapted";
+}
+
+TEST(ServeAdaptive, FaultedForestTenantKeepsTheStaticMapping) {
+  const CompleteBinaryTree hot_tree(9);
+  const ColorMapping hot_color(make_optimal_color_mapping(hot_tree, 7));
+  const LabelTreeMapping hot_label(hot_tree, 7);
+  const CompleteBinaryTree cold_tree(7);
+  const ModuloMapping cold_mapping(cold_tree, 7);
+  const auto hot_requests = adaptive_requests(hot_label, 180, 0xFA18);
+  const auto cold_requests = adaptive_requests(cold_mapping, 60, 0xFA19);
+  const fault::FaultPlan plan = faulted_plan(hot_label.num_modules(), 0xFA18);
+
+  auto run_forest = [&](bool adaptive) {
+    ForestOptions fopts;
+    fopts.tick_cycles = 2;
+    fopts.replicas = 4;
+    fopts.drr_quantum_nodes = 24;
+    Forest forest(fopts);
+
+    TenantOptions hot;
+    hot.admission.queue_bound = 32;
+    hot.batch.max_batch_nodes = 24;
+    hot.batch.max_wait_cycles = 4;
+    hot.retry.max_retries = 2;
+    hot.retry.attempt_timeout_cycles = 48;
+    hot.engine.faults = &plan;
+    if (adaptive) {
+      hot.adaptive.epoch_batches = 4;
+      hot.adaptive.candidates = {&hot_color, &hot_label};
+    }
+    forest.add_tenant(hot_label, std::move(hot));
+
+    TenantOptions cold;
+    cold.admission.queue_bound = 16;
+    cold.batch.max_batch_nodes = 16;
+    forest.add_tenant(cold_mapping, std::move(cold));
+
+    for (const Request& r : hot_requests) forest.submit(0, r);
+    for (const Request& r : cold_requests) forest.submit(1, r);
+    return forest.run();
+  };
+
+  const ForestReport got = run_forest(true);
+  const ForestReport want = run_forest(false);
+  ASSERT_EQ(got.to_json().dump(), want.to_json().dump());
+  EXPECT_EQ(got.tenants[0].metrics.find("adaptive"), nullptr)
+      << "a faulted tenant must not pretend it adapted";
 }
 
 }  // namespace

@@ -92,19 +92,6 @@ TEST_F(ServeContracts, ServerRejectsDynWithArenas) {
   EXPECT_THROW(Server(colorer_, opts), std::invalid_argument);
 }
 
-TEST_F(ServeContracts, ServerRejectsEngineMemory) {
-  ServerOptions opts;
-  opts.engine.memory = &arenas_;
-  EXPECT_THROW(Server(color_, opts), std::invalid_argument);
-}
-
-TEST_F(ServeContracts, ForestRejectsTenantEngineMemory) {
-  Forest forest;
-  TenantOptions t;
-  t.engine.memory = &arenas_;
-  EXPECT_THROW(forest.add_tenant(color_, t), std::invalid_argument);
-}
-
 /// Adaptive candidates the control plane must refuse: each would index
 /// past the selector's per-module scratch or the lane engine's arena in a
 /// Release build, where no assert catches it.
