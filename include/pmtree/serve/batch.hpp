@@ -12,15 +12,19 @@
 // Each batch becomes ONE parallel memory access. Its node set is the
 // members' payloads, deduplicated and sorted in (level, index) order —
 // duplicate lookups of a hot key collapse into one physical request, the
-// classic batching win — and decomposed into maximal per-level runs:
-// contiguous runs become L(K) parts and the whole batch is the composite
-// C(D, c) whose parts those runs are. The decomposition is reported on
-// the batch so benches and tests can price it with the paper's cost
-// machinery.
+// classic batching win. In that canonical order the maximal per-level
+// runs are adjacent: contiguous runs are L(K) parts and the whole batch is
+// the composite C(D, c) whose parts those runs are. Nothing on the serve
+// path prices that decomposition, so a batch stores only its canonical
+// nodes and derives C(D, c) on demand (FormedBatch::decomposition(),
+// level_runs()) for benches and tests that price it with the paper's cost
+// machinery. Coalescing is therefore an in-place sort and dedup that
+// allocates nothing once its scratch is warm.
 #pragma once
 
 #include <cstdint>
 #include <deque>
+#include <span>
 #include <vector>
 
 #include "pmtree/serve/admission.hpp"
@@ -45,14 +49,28 @@ struct BatchPolicy {
   std::uint64_t max_wait_cycles = 16;
 };
 
+/// The C(D, c) of a canonical node list (sorted in (level, index) order,
+/// no duplicates): one L(K) part per maximal run of same-level
+/// consecutive indices, in node order. Its nodes() equal `nodes`.
+[[nodiscard]] CompositeInstance level_runs(std::span<const Node> nodes);
+
 /// One formed batch == one parallel memory access.
 struct FormedBatch {
   std::uint64_t id = 0;            ///< global batch id, in dispatch order
   std::uint64_t formed_cycle = 0;  ///< admission tick that cut the batch
   std::vector<std::size_t> members;     ///< canonical request indices
-  std::vector<Node> nodes;              ///< deduped union, (level,index) order
-  CompositeInstance decomposition;      ///< C(D, c) of maximal L(K) runs
+  /// The members' payloads: their raw concatenation when cut by
+  /// form_one_raw(), the deduped union in (level, index) order once
+  /// coalesced.
+  std::vector<Node> nodes;
   std::uint64_t requested_nodes = 0;    ///< pre-dedup node count
+  bool coalesced = false;               ///< `nodes` is canonical
+
+  /// The paper's C(D, c) of maximal L(K) runs, derived from the canonical
+  /// `nodes` (precondition: coalesced).
+  [[nodiscard]] CompositeInstance decomposition() const {
+    return level_runs(nodes);
+  }
 
   /// Nodes saved by coalescing duplicate lookups within the batch.
   [[nodiscard]] std::uint64_t coalesced_nodes() const noexcept {
@@ -96,18 +114,20 @@ class BatchFormer {
                                      AdmissionController& controller);
 
   /// The fill walk of form_one() without the coalescing step: `nodes` is
-  /// left as the raw member concatenation and `decomposition` empty. The
+  /// left as the raw member concatenation and `coalesced` false. The
   /// control plane cuts batches with this and the executor's per-batch
-  /// step runs coalesce(), off the control thread;
-  /// form_one() == form_one_raw() + coalesce on the node set. Membership,
-  /// ids, costs and admission bookkeeping are identical.
+  /// step coalesces them, off the control thread; form_one() ==
+  /// form_one_raw() + coalesce(). Membership, ids, costs and admission
+  /// bookkeeping are identical.
   [[nodiscard]] FormedBatch form_one_raw(std::uint64_t now,
                                          AdmissionController& controller);
 
-  /// The coalescing kernel, exposed for direct testing: sorts `nodes` in
-  /// (level, index) order, removes duplicates in place, and returns the
-  /// C(D, c) whose parts are the maximal per-level runs of what remains.
-  [[nodiscard]] static CompositeInstance coalesce(std::vector<Node>& nodes);
+  /// The coalescing kernel: sorts `nodes` in (level, index) order and
+  /// removes duplicates in place. Allocation-free once the calling
+  /// thread's scratch has grown to the largest batch seen.
+  static void coalesce(std::vector<Node>& nodes);
+  /// coalesce() on the batch's nodes, once: marks it coalesced.
+  static void coalesce(FormedBatch& batch);
 
   [[nodiscard]] const BatchPolicy& policy() const noexcept { return policy_; }
 

@@ -2,8 +2,9 @@
 // (DESIGN.md §14).
 //
 // Server and Forest share one tick loop (src/serve/control.cpp). Each
-// batch it cuts takes one step — coalesce (sort/dedup/run-decompose),
-// arena touch, color resolution against the batch's epoch mapping — and
+// batch it cuts takes one step — coalesce (in-place sort/dedup, unless
+// the control plane already coalesced it), arena touch, color resolution
+// against the batch's epoch mapping — and
 // its colors feed the owning lane's EngineSession; every lane drains at
 // the round barrier. PipelineOptions::workers picks where the step runs:
 //
@@ -39,6 +40,8 @@
 // A round's tokens all live in the runner's pooled storage until
 // assembly, so the lists bound nothing and cost nothing: a cut never
 // waits for a consumer, and a consumer never waits for the control plane.
+// After warm-up the per-batch step allocates nothing on either executor
+// (test_serve_alloc holds that).
 //
 // Stage-attribution counters (nanoseconds per stage, barrier wait,
 // batches in flight) export via stats() into ServeMetrics' "pipeline"
@@ -75,11 +78,16 @@ struct PipelineOptions {
   unsigned workers = 0;
 };
 
+/// Cache-line size the executor pads its cross-thread state to.
+inline constexpr std::size_t kCacheLine = 64;
+
 /// One batch riding the executor. Created by the control plane at cut
 /// time, filled by the per-batch step, fed to its lane and finally moved
 /// out by assembly. Tokens live in chunks owned by the runner — stable
-/// addresses, so stages pass raw pointers.
-struct BatchToken {
+/// addresses, so stages pass raw pointers. Each token starts on its own
+/// cache line, and its list links sit on another: the control plane
+/// writes token i + 1 and token i's links while a worker resolves token i.
+struct alignas(kCacheLine) BatchToken {
   FormedBatch batch;            ///< nodes raw at cut; coalesced by resolve
   std::uint32_t lane = 0;       ///< global execution lane
   std::uint32_t tenant = 0;     ///< forest tenant id (0 for Server)
@@ -95,14 +103,14 @@ struct BatchToken {
   /// the batch's payloads from the arenas right after the coalesce, and
   /// assembly folds these order-invariant totals into the report.
   mem::TouchStats mem;
-  /// Resolve -> execute handoff: set (release) once colors/decomposition
-  /// are final; lane owners consume tokens only after observing it
-  /// (acquire). This is the per-token ordering edge that keeps lane feeds
-  /// canonical while resolution itself runs out of order.
+  /// Resolve -> execute handoff: set (release) once the coalesced nodes
+  /// and colors are final; lane owners consume tokens only after
+  /// observing it (acquire). This is the per-token ordering edge that
+  /// keeps lane feeds canonical while resolution itself runs out of order.
   std::atomic<bool> ready{false};
   /// Intrusive links of the token lists: this token's successor on its
   /// resolver's list and on its lane's list (nullptr = last so far).
-  std::atomic<BatchToken*> next_resolve{nullptr};
+  alignas(kCacheLine) std::atomic<BatchToken*> next_resolve{nullptr};
   std::atomic<BatchToken*> next_lane{nullptr};
 };
 
@@ -112,7 +120,9 @@ struct BatchToken {
 /// barrier thread). Lock-free and allocation-free; the runner's condvar
 /// only parks/wakes threads, it never guards list state. The consumer
 /// resets the list when it drains at the round barrier, while the
-/// control plane is parked there.
+/// control plane is parked there. The producer's and the consumer's
+/// cursors sit on separate cache lines, so a push does not invalidate the
+/// line the consumer polls.
 class TokenList {
  public:
   explicit TokenList(std::atomic<BatchToken*> BatchToken::*link) noexcept
@@ -141,8 +151,10 @@ class TokenList {
  private:
   std::atomic<BatchToken*> BatchToken::*link_;
   std::atomic<BatchToken*> head_{nullptr};
-  std::atomic<BatchToken*>* tail_ = &head_;    ///< producer: next push slot
-  std::atomic<BatchToken*>* cursor_ = &head_;  ///< consumer: front slot
+  /// Producer: next push slot.
+  alignas(kCacheLine) std::atomic<BatchToken*>* tail_ = &head_;
+  /// Consumer: front slot.
+  alignas(kCacheLine) std::atomic<BatchToken*>* cursor_ = &head_;
 };
 
 /// One execution lane: a Server replica or a Forest tenant-lane, with
@@ -236,46 +248,63 @@ class StagedRunner {
   std::vector<LaneSpec> lanes_;
   std::vector<engine::EngineSession> sessions_;   ///< one per lane
   std::vector<engine::EngineResult> results_;     ///< one per lane
+  /// Inline executor: each lane's color scratch, kept across rounds so
+  /// the per-batch step stops allocating once it has seen the largest
+  /// batch (the staged executor resolves into the pooled tokens, which
+  /// a fresh runner would allocate one by one).
+  std::vector<std::vector<Color>> lane_colors_;
   /// Pooled token storage in fixed chunks: stable addresses, one
   /// allocation per kTokenChunk tokens.
   static constexpr std::size_t kTokenChunk = 256;
   std::vector<std::unique_ptr<BatchToken[]>> token_chunks_;
-  std::size_t token_count_ = 0;                   ///< live tokens this round
 
   std::deque<TokenList> resolve_lists_;  ///< one per worker (pinned)
   std::deque<TokenList> lane_lists_;     ///< one per lane (pinned)
 
   std::vector<std::thread> workers_;  ///< empty for the inline executor
   unsigned drain_threads_ = 1;
-  mutable std::mutex mutex_;
+  /// On single-CPU hosts (false) mid-round wakes are skipped entirely —
+  /// context switches there only interleave the same total work — and
+  /// the round barrier does all the waking.
+  bool eager_wake_ = true;
+
+  // Cross-thread state, one writer class per cache line: the control
+  // plane's per-cut bookkeeping must not share a line with a counter the
+  // workers bump per burst, nor with the parking lock, or the serial
+  // control stage pays for every worker pass (DESIGN.md §14).
+
+  /// Control plane only.
+  alignas(kCacheLine) std::size_t token_count_ = 0;  ///< live tokens this round
+  std::uint64_t round_ = 0;                     ///< control-plane round no.
+  std::uint64_t cut_seq_ = 0;                   ///< tokens cut, ever
+  /// Cuts queued since the control plane last saw every worker busy.
+  std::uint64_t cuts_since_wake_ = 0;
+  std::uint64_t batches_total_ = 0;
+  std::uint64_t rounds_total_ = 0;
+  std::uint64_t max_in_flight_ = 0;
+
+  /// Parking: the condvar only parks and wakes threads.
+  alignas(kCacheLine) mutable std::mutex mutex_;
   std::condition_variable cv_;
   std::uint64_t signal_ = 0;      ///< bumped on every state change
   std::size_t done_workers_ = 0;  ///< workers finished draining this round
   bool shutdown_ = false;
 
-  std::atomic<std::uint64_t> closed_round_{0};  ///< last round closed
-  std::atomic<std::uint64_t> cut_round_{0};     ///< tokens cut this round
-  std::uint64_t round_ = 0;                     ///< control-plane round no.
-  std::uint64_t cut_seq_ = 0;                   ///< tokens cut, ever
-  /// Wake batching: cuts since the last worker wake, and how many workers
-  /// are parked. On single-CPU hosts (eager_wake_ == false) mid-round
-  /// wakes are skipped entirely — context switches there only interleave
-  /// the same total work — and the round barrier does all the waking.
-  std::uint64_t cuts_since_wake_ = 0;
-  std::atomic<unsigned> idle_workers_{0};
-  bool eager_wake_ = true;
+  /// Written by the control plane (per cut / per round), polled by workers.
+  alignas(kCacheLine) std::atomic<std::uint64_t> cut_round_{0};  ///< tokens cut this round
+  alignas(kCacheLine) std::atomic<std::uint64_t> closed_round_{0};  ///< last round closed
+  /// Written by workers, read by the control plane per cut.
+  alignas(kCacheLine) std::atomic<std::uint64_t> executed_round_{0};  ///< fed tokens this round
+  alignas(kCacheLine) std::atomic<unsigned> idle_workers_{0};  ///< workers parked or parking
 
   // Stage attribution (cumulative across runs; wall time, so the one
-  // deliberately non-deterministic part of a pipelined report).
-  std::atomic<std::uint64_t> control_ns_{0};
-  std::atomic<std::uint64_t> resolve_ns_{0};
+  // deliberately non-deterministic part of a pipelined report). Control
+  // and barrier time are the control plane's; the rest the workers'.
+  alignas(kCacheLine) std::atomic<std::uint64_t> control_ns_{0};
+  std::atomic<std::uint64_t> barrier_ns_{0};
+  alignas(kCacheLine) std::atomic<std::uint64_t> resolve_ns_{0};
   std::atomic<std::uint64_t> execute_ns_{0};
   std::atomic<std::uint64_t> drain_ns_{0};
-  std::atomic<std::uint64_t> barrier_ns_{0};
-  std::atomic<std::uint64_t> executed_round_{0};  ///< fed tokens this round
-  std::uint64_t batches_total_ = 0;
-  std::uint64_t rounds_total_ = 0;
-  std::uint64_t max_in_flight_ = 0;
 };
 
 }  // namespace pmtree::serve

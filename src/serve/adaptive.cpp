@@ -22,9 +22,9 @@ AdaptiveSelector::AdaptiveSelector(const TreeMapping& base,
                                    const AdaptivePolicy& policy)
     : base_(base),
       policy_(policy),
-      active_(&base),
-      log_{policy.epoch_batches} {
+      active_(&base) {
   assert(policy_.enabled());
+  log_.epoch_batches = policy.epoch_batches;
   scores_.assign(policy_.candidates.size(), 0);
   load_scratch_.assign(base_.num_modules(), 0);
 #ifndef NDEBUG

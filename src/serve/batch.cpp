@@ -40,112 +40,85 @@ void sort_segment(std::uint32_t* first, std::uint32_t* last) {
 
 }  // namespace
 
-CompositeInstance BatchFormer::coalesce(std::vector<Node>& nodes) {
-  // Node's canonical order is (level, index) — the order in which
-  // same-level consecutive runs are adjacent. A comparison sort of the
+void BatchFormer::coalesce(std::vector<Node>& nodes) {
+  // Node's canonical order is (level, index). A comparison sort of the
   // whole batch is overkill for that order: the level field takes only a
   // handful of values, so a counting pass buckets the nodes by level in
   // O(n) and only the per-level index segments — typically 2-8 entries
-  // each — still need comparison sorting. That turns the serve path's
-  // hottest kernel (every formed batch funnels through here) from
-  // n log n key sorting + merging into two linear passes plus a few
-  // insertion sorts of trivially small, nearly-sorted segments.
+  // each — still need comparison sorting. Every formed batch funnels
+  // through here, so this is two linear passes plus a few insertion sorts
+  // of trivially small, nearly-sorted segments instead of n log n key
+  // sorting; the only storage is a per-thread index scratch that stops
+  // growing after the largest batch.
   std::uint32_t max_level = 0;
   for (const Node& n : nodes) max_level = std::max(max_level, n.level);
-  CompositeInstance composite;
-  if (max_level < kBucketLevels && !nodes.empty()) {
-    // Shallow levels (< 2^6 possible indices) skip sorting entirely: a
-    // 64-bit occupancy mask IS the sorted, deduplicated segment, and its
-    // maximal stretches of set bits are the level runs — batches are
-    // path-heavy, so the upper levels carry one duplicate-laden index per
-    // request and collapse to a handful of bits. Deeper levels scatter
-    // into per-level index segments (counting pass + prefix sums) and
-    // sort each tiny segment in place.
-    constexpr std::uint32_t kMaskLevels = 7;
-    std::array<std::uint64_t, kMaskLevels> masks{};
-    std::array<std::size_t, kBucketLevels> off{};
-    std::array<std::size_t, kBucketLevels> pos{};
-    for (const Node& n : nodes) {
-      if (n.level < kMaskLevels) {
-        masks[n.level] |= std::uint64_t{1} << n.index;
-      } else {
-        pos[n.level] += 1;
-      }
-    }
-    std::size_t acc = 0;
-    for (std::size_t lvl = kMaskLevels; lvl <= max_level; ++lvl) {
-      off[lvl] = acc;
-      acc += pos[lvl];
-      pos[lvl] = off[lvl];
-    }
-    thread_local std::vector<std::uint32_t> idxs;
-    idxs.resize(acc);
-    for (const Node& n : nodes) {
-      if (n.level >= kMaskLevels) {
-        idxs[pos[n.level]++] = static_cast<std::uint32_t>(n.index);
-      }
-    }
-    // After the scatter, pos[lvl] is lvl's segment END — sort each
-    // occupied segment's indices in place.
-    for (std::size_t lvl = kMaskLevels; lvl <= max_level; ++lvl) {
-      sort_segment(idxs.data() + off[lvl], idxs.data() + pos[lvl]);
-    }
-    // Runs are emitted into a pooled scratch (capacity persists across
-    // batches) and copied once into an exact-sized parts vector at the
-    // end — one allocation per batch, no run-counting pre-pass, and no
-    // geometric growth of repeated add() calls (which used to dominate
-    // this function's profile).
-    thread_local std::vector<ElementaryInstance> scratch_parts;
-    scratch_parts.clear();
-    // Emit in canonical (level, index) order, rewriting `nodes` in place
-    // through a raw cursor: every input position has been consumed into a
-    // mask or a segment by now, and dedup only shrinks, so the cursor
-    // never overtakes unread data.
-    Node* out = nodes.data();
-    for (std::uint32_t lvl = 0; lvl <= max_level; ++lvl) {
-      if (lvl < kMaskLevels) {
-        std::uint64_t m = masks[lvl];
-        while (m != 0) {
-          const unsigned lo = static_cast<unsigned>(std::countr_zero(m));
-          const unsigned len = static_cast<unsigned>(std::countr_one(m >> lo));
-          for (unsigned k = 0; k < len; ++k) {
-            *out++ = Node{lvl, std::uint64_t{lo} + k};
-          }
-          scratch_parts.push_back(LevelRunInstance{
-              Node{lvl, std::uint64_t{lo}}, std::uint64_t{len}});
-          // Clear the emitted run (lo + len <= 64; len == 64 only at
-          // lo == 0, where the shift-based mask would be UB).
-          m = len >= 64 ? 0
-                        : m & ~(((std::uint64_t{1} << len) - 1) << lo);
-        }
-      } else {
-        const std::uint32_t* seg = idxs.data() + off[lvl];
-        const std::uint32_t* const seg_end = idxs.data() + pos[lvl];
-        while (seg < seg_end) {
-          std::uint32_t prev = *seg++;
-          const std::uint64_t first = prev;
-          std::uint64_t run = 1;
-          *out++ = Node{lvl, prev};
-          for (; seg < seg_end; ++seg) {
-            if (*seg == prev) continue;  // duplicate lookup, collapsed
-            if (*seg != prev + 1) break;
-            prev = *seg;
-            run += 1;
-            *out++ = Node{lvl, prev};
-          }
-          scratch_parts.push_back(
-              LevelRunInstance{Node{lvl, first}, run});
-        }
-      }
-    }
-    nodes.resize(static_cast<std::size_t>(out - nodes.data()));
-    return CompositeInstance(std::vector<ElementaryInstance>(
-        scratch_parts.begin(), scratch_parts.end()));
+  if (max_level >= kBucketLevels || nodes.empty()) {
+    std::sort(nodes.begin(), nodes.end());
+    nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
+    return;
   }
+  // Shallow levels (< 2^6 possible indices) skip sorting entirely: a
+  // 64-bit occupancy mask IS the sorted, deduplicated segment — batches
+  // are path-heavy, so the upper levels carry one duplicate-laden index
+  // per request and collapse to a handful of bits. Deeper levels scatter
+  // into per-level index segments (counting pass + prefix sums) and sort
+  // each tiny segment in place.
+  constexpr std::uint32_t kMaskLevels = 7;
+  std::array<std::uint64_t, kMaskLevels> masks{};
+  std::array<std::size_t, kBucketLevels> off{};
+  std::array<std::size_t, kBucketLevels> pos{};
+  for (const Node& n : nodes) {
+    if (n.level < kMaskLevels) {
+      masks[n.level] |= std::uint64_t{1} << n.index;
+    } else {
+      pos[n.level] += 1;
+    }
+  }
+  std::size_t acc = 0;
+  for (std::size_t lvl = kMaskLevels; lvl <= max_level; ++lvl) {
+    off[lvl] = acc;
+    acc += pos[lvl];
+    pos[lvl] = off[lvl];
+  }
+  thread_local std::vector<std::uint32_t> idxs;
+  if (idxs.size() < acc) idxs.resize(acc);
+  for (const Node& n : nodes) {
+    if (n.level >= kMaskLevels) {
+      idxs[pos[n.level]++] = static_cast<std::uint32_t>(n.index);
+    }
+  }
+  // Emit in canonical (level, index) order, rewriting `nodes` in place
+  // through a raw cursor: every input position has been consumed into a
+  // mask or a segment by now, and dedup only shrinks, so the cursor never
+  // overtakes unread data. After the scatter, pos[lvl] is lvl's segment
+  // END.
+  Node* out = nodes.data();
+  for (std::uint32_t lvl = 0; lvl <= max_level; ++lvl) {
+    if (lvl < kMaskLevels) {
+      for (std::uint64_t m = masks[lvl]; m != 0; m &= m - 1) {
+        *out++ = Node{lvl, static_cast<std::uint64_t>(std::countr_zero(m))};
+      }
+      continue;
+    }
+    std::uint32_t* const seg = idxs.data() + off[lvl];
+    std::uint32_t* const seg_end = idxs.data() + pos[lvl];
+    sort_segment(seg, seg_end);
+    for (const std::uint32_t* p = seg; p < seg_end; ++p) {
+      // Duplicate lookups collapse into one physical request.
+      if (p == seg || *p != p[-1]) *out++ = Node{lvl, *p};
+    }
+  }
+  nodes.resize(static_cast<std::size_t>(out - nodes.data()));
+}
 
-  std::sort(nodes.begin(), nodes.end());
-  nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
+void BatchFormer::coalesce(FormedBatch& batch) {
+  if (batch.coalesced) return;
+  coalesce(batch.nodes);
+  batch.coalesced = true;
+}
 
+CompositeInstance level_runs(std::span<const Node> nodes) {
+  CompositeInstance composite;
   std::size_t i = 0;
   while (i < nodes.size()) {
     std::size_t j = i + 1;
@@ -223,7 +196,7 @@ FormedBatch BatchFormer::form_one_raw(std::uint64_t now,
 FormedBatch BatchFormer::form_one(std::uint64_t now,
                                   AdmissionController& controller) {
   FormedBatch batch = form_one_raw(now, controller);
-  batch.decomposition = coalesce(batch.nodes);
+  coalesce(batch);
   return batch;
 }
 

@@ -77,9 +77,9 @@ MigrationPlanner::MigrationPlanner(const TreeMapping& base,
                                    const MigrationPolicy& policy)
     : base_(base),
       policy_(policy),
-      heat_(policy.subtree_level, base.num_modules()),
-      log_{policy.epoch_batches} {
+      heat_(policy.subtree_level, base.num_modules()) {
   assert(policy_.enabled());
+  log_.epoch_batches = policy.epoch_batches;
 }
 
 void MigrationPlanner::observe(std::span<const Node> nodes,

@@ -40,6 +40,7 @@ StagedRunner::StagedRunner(std::vector<LaneSpec> lanes,
     sessions_.emplace_back(*lane.mapping, lane.options);
   }
   results_.resize(lanes_.size());
+  lane_colors_.resize(lanes_.size());
   for (unsigned w = 0; w < P; ++w) {
     resolve_lists_.emplace_back(&BatchToken::next_resolve);
   }
@@ -80,7 +81,7 @@ void StagedRunner::begin_run() {
   // reported done_workers_ ordered their session/result writes before
   // these control-plane accesses.
   for (engine::EngineSession& session : sessions_) session.clear();
-  for (engine::EngineResult& result : results_) result = {};
+  for (engine::EngineResult& result : results_) result = engine::EngineResult();
   token_count_ = 0;  // token storage is pooled across runs
   executed_round_.store(0, std::memory_order_relaxed);
   cut_round_.store(0, std::memory_order_relaxed);
@@ -122,12 +123,18 @@ void StagedRunner::cut(FormedBatch batch, std::uint32_t lane,
   cut_round_.fetch_add(1, std::memory_order_release);
 
   // Wake batching: consumers that are awake poll their lists themselves;
-  // parked ones are woken at most once per kWakeBatch cuts (and not at
-  // all mid-round on single-CPU hosts — the barrier wakes everyone).
-  constexpr std::uint64_t kWakeBatch = 16;
-  cuts_since_wake_ += 1;
-  if (eager_wake_ && cuts_since_wake_ >= kWakeBatch &&
-      idle_workers_.load(std::memory_order_relaxed) > 0) {
+  // parked ones are woken once kWakeBatch cuts have queued up since the
+  // control plane last saw every worker busy (and not at all mid-round on
+  // single-CPU hosts — the barrier wakes everyone). A wake costs this
+  // serial thread a futex syscall worth several cuts, and a worker woken
+  // for a handful of tokens parks again at once, so wakes must be rare:
+  // at 256 cuts they stay a few percent of control time, and the round
+  // barrier inherits at most 256 unresolved tokens. A parked worker
+  // missed here is woken by the barrier, so this read needs no ordering.
+  constexpr std::uint64_t kWakeBatch = 256;
+  if (idle_workers_.load(std::memory_order_relaxed) == 0) {
+    cuts_since_wake_ = 0;
+  } else if (eager_wake_ && ++cuts_since_wake_ >= kWakeBatch) {
     cuts_since_wake_ = 0;
     bump();
   }
@@ -148,8 +155,8 @@ void StagedRunner::close_round() {
                                 std::max<std::uint64_t>(L, 1)));
     parallel_chunks(L, threads, /*grain=*/1,
                     [&](unsigned, std::uint64_t begin, std::uint64_t end) {
-                      std::vector<Color> colors;
                       for (std::uint64_t l = begin; l < end; ++l) {
+                        std::vector<Color>& colors = lane_colors_[l];
                         TokenList& list = lane_lists_[l];
                         for (; BatchToken* token = list.front(); list.pop()) {
                           resolve(*token, colors);
@@ -195,13 +202,11 @@ void StagedRunner::next_round() {
 }
 
 void StagedRunner::resolve(BatchToken& token, std::vector<Color>& colors) {
-  // The per-batch step: coalesce (sort/dedup/run-decompose; skipped for a
+  // The per-batch step: coalesce (in-place sort/dedup; a no-op for a
   // batch the control plane already coalesced), arena touch and SIMD color
   // gather. All pure functions of the batch, so resolution order across
   // workers is irrelevant.
-  if (token.batch.decomposition.component_count() == 0) {
-    token.batch.decomposition = BatchFormer::coalesce(token.batch.nodes);
-  }
+  BatchFormer::coalesce(token.batch);
   const std::vector<Node>& nodes = token.batch.nodes;
   colors.resize(nodes.size());
   const LaneSpec& lane = lanes_[token.lane];

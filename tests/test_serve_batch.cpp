@@ -1,6 +1,6 @@
-// BatchFormer unit tests: the coalescing kernel (sort, dedup, maximal
-// per-level runs) and the cut policy (node threshold, wait budget,
-// oversized requests).
+// BatchFormer unit tests: the coalescing kernel (sort, dedup), the
+// derived decomposition into maximal per-level runs, and the cut policy
+// (node threshold, wait budget, oversized requests).
 #include "pmtree/serve/batch.hpp"
 
 #include <gtest/gtest.h>
@@ -11,6 +11,8 @@
 
 #include "pmtree/serve/admission.hpp"
 #include "pmtree/serve/request.hpp"
+#include "pmtree/tree/tree.hpp"
+#include "pmtree/util/rng.hpp"
 
 namespace pmtree::serve {
 namespace {
@@ -28,7 +30,8 @@ Request make_request(std::uint64_t seq, std::uint64_t submit,
 TEST(BatchCoalesce, SortsDedupsAndFindsMaximalRuns) {
   std::vector<Node> nodes{v(5, 3), v(2, 3), v(3, 3), v(2, 3), v(0, 0),
                           v(6, 3)};
-  const CompositeInstance c = BatchFormer::coalesce(nodes);
+  BatchFormer::coalesce(nodes);
+  const CompositeInstance c = level_runs(nodes);
 
   // Deduped and in (level, index) order.
   const std::vector<Node> want{v(0, 0), v(2, 3), v(3, 3), v(5, 3), v(6, 3)};
@@ -58,14 +61,16 @@ TEST(BatchCoalesce, RunsNeverSpanLevels) {
   // v(3, 2) is the last node of level 2; v(0, 3) is BFS-adjacent but on
   // the next level — they must form two runs, not one.
   std::vector<Node> nodes{v(3, 2), v(0, 3)};
-  const CompositeInstance c = BatchFormer::coalesce(nodes);
+  BatchFormer::coalesce(nodes);
+  const CompositeInstance c = level_runs(nodes);
   ASSERT_EQ(c.component_count(), 2u);
   EXPECT_EQ(c.size(), 2u);
 }
 
 TEST(BatchCoalesce, EmptyInputYieldsEmptyComposite) {
   std::vector<Node> nodes;
-  const CompositeInstance c = BatchFormer::coalesce(nodes);
+  BatchFormer::coalesce(nodes);
+  const CompositeInstance c = level_runs(nodes);
   EXPECT_EQ(c.component_count(), 0u);
   EXPECT_EQ(c.size(), 0u);
 }
@@ -148,7 +153,7 @@ TEST(BatchFormer, OversizedRequestDispatchesAlone) {
   ASSERT_EQ(batches.size(), 2u);
   EXPECT_EQ(batches[0].members, (std::vector<std::size_t>{0}));
   EXPECT_EQ(batches[0].nodes.size(), 7u);
-  ASSERT_EQ(batches[0].decomposition.component_count(), 1u);  // one L(7) run
+  ASSERT_EQ(batches[0].decomposition().component_count(), 1u);  // one L(7) run
   EXPECT_EQ(batches[1].members, (std::vector<std::size_t>{1}));
 }
 
@@ -347,15 +352,17 @@ TEST(BatchFormer, FormOneIsFormOneRawPlusCoalesce) {
     EXPECT_EQ(got.formed_cycle, want.formed_cycle);
     EXPECT_EQ(got.members, want.members);
     EXPECT_EQ(got.requested_nodes, want.requested_nodes);
-    // Raw leaves the fill-order node list (duplicates included) and an
-    // empty decomposition; coalescing finishes the job.
+    // Raw leaves the fill-order node list (duplicates included), not yet
+    // coalesced; coalescing finishes the job.
     EXPECT_EQ(got.nodes.size(), got.requested_nodes);
-    EXPECT_EQ(got.decomposition.component_count(), 0u);
-    got.decomposition = BatchFormer::coalesce(got.nodes);
+    EXPECT_FALSE(got.coalesced);
+    EXPECT_TRUE(want.coalesced);
+    BatchFormer::coalesce(got);
+    EXPECT_TRUE(got.coalesced);
     EXPECT_EQ(got.nodes, want.nodes);
-    EXPECT_EQ(got.decomposition.nodes(), want.decomposition.nodes());
-    EXPECT_EQ(got.decomposition.component_count(),
-              want.decomposition.component_count());
+    EXPECT_EQ(got.decomposition().nodes(), want.decomposition().nodes());
+    EXPECT_EQ(got.decomposition().component_count(),
+              want.decomposition().component_count());
     EXPECT_EQ(raw_admission.pending_count(), oracle_admission.pending_count());
     EXPECT_EQ(raw_admission.pending_node_count(),
               oracle_admission.pending_node_count());
@@ -381,7 +388,8 @@ void expect_coalesce_matches_reference(std::vector<Node> nodes) {
     i = j;
   }
 
-  const CompositeInstance c = BatchFormer::coalesce(nodes);
+  BatchFormer::coalesce(nodes);
+  const CompositeInstance c = level_runs(nodes);
   ASSERT_EQ(nodes, want);
   ASSERT_EQ(c.component_count(), runs.size());
   for (std::size_t k = 0; k < runs.size(); ++k) {
@@ -467,6 +475,124 @@ TEST(BatchFormer, NextBatchCostIsZeroOnlyForEmptyOrAllEmptyQueues) {
             AdmissionController::Decision::kAdmitted);
   EXPECT_TRUE(former.due(0, admission));
   EXPECT_EQ(former.next_batch_cost(admission), 0u);
+}
+
+/// One payload of the E19 serving mix on `tree`: 70% root-to-leaf paths,
+/// 20% sibling pairs at the bottom level, 10% short runs one level up.
+std::vector<Node> e19_payload(Rng& rng, const CompleteBinaryTree& tree) {
+  std::vector<Node> nodes;
+  const std::uint32_t bottom = tree.levels() - 1;
+  const std::uint64_t kind = rng.below(10);
+  if (kind < 7) {
+    Node n = v(rng.below(pow2(bottom)), bottom);
+    nodes.push_back(n);
+    while (n.level > 0) {
+      n = parent(n);
+      nodes.push_back(n);
+    }
+  } else if (kind < 9) {
+    const Node n = v(rng.below(pow2(bottom)) & ~std::uint64_t{1}, bottom);
+    nodes.push_back(n);
+    nodes.push_back(sibling(n));
+  } else {
+    const std::uint32_t level = bottom - 1;
+    const std::uint64_t width = std::min<std::uint64_t>(
+        rng.between(4, 8), pow2(level));
+    const std::uint64_t first = rng.below(pow2(level) - width + 1);
+    for (std::uint64_t k = 0; k < width; ++k) nodes.push_back(v(first + k, level));
+  }
+  return nodes;
+}
+
+/// The derived C(D, c) of a coalesced batch is exactly its maximal
+/// per-level runs: one L(K) part per run, in node order, covering the
+/// canonical nodes once, no two neighbouring parts mergeable.
+void expect_maximal_level_runs(const FormedBatch& batch,
+                               const CompleteBinaryTree& tree) {
+  ASSERT_TRUE(batch.coalesced);
+  const CompositeInstance c = batch.decomposition();
+  ASSERT_EQ(c.nodes(), batch.nodes);
+  EXPECT_EQ(c.size(), batch.nodes.size());
+  EXPECT_TRUE(c.is_disjoint());
+  EXPECT_TRUE(c.fits(tree));
+  const LevelRunInstance* prev = nullptr;
+  for (const ElementaryInstance& part : c.parts()) {
+    const auto* run = part.get_if<LevelRunInstance>();
+    ASSERT_NE(run, nullptr);
+    ASSERT_GE(run->size, 1u);
+    if (prev != nullptr && prev->first.level == run->first.level) {
+      EXPECT_GT(run->first.index, prev->first.index + prev->size)
+          << "runs at level " << run->first.level << " are not maximal";
+    }
+    prev = run;
+  }
+}
+
+TEST(BatchDecomposition, DerivedViewIsTheMaximalRunCompositeOnRandomBatches) {
+  // Seeded E19 traffic plus duplicate-heavy hot keys (half of all
+  // requests repeat one of three hot payloads). For every batch the
+  // stored nodes are the canonical union of its members' payloads, the
+  // derived decomposition is its maximal per-level runs, and a batch cut
+  // raw and coalesced afterwards (the executor's path) derives the same
+  // C(D, c) as one coalesced at the cut (the epoch policies' path).
+  for (std::uint64_t seed = 0; seed < 24; ++seed) {
+    Rng rng(seed);
+    const CompleteBinaryTree tree(static_cast<std::uint32_t>(rng.between(4, 20)));
+    std::vector<std::vector<Node>> hot;
+    for (int h = 0; h < 3; ++h) hot.push_back(e19_payload(rng, tree));
+    std::vector<Request> requests;
+    for (std::uint64_t i = 0; i < 200; ++i) {
+      requests.push_back(make_request(
+          i, 0, rng.chance(1, 2) ? hot[rng.below(hot.size())]
+                                 : e19_payload(rng, tree)));
+    }
+    const BatchPolicy policy{.max_batch_nodes = rng.between(1, 128),
+                             .max_wait_cycles = 0};
+    const AdmissionOptions options{.queue_bound = requests.size()};
+    AdmissionController oracle_admission(options);
+    AdmissionController raw_admission(options);
+    BatchFormer oracle(policy);
+    BatchFormer raw(policy);
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      ASSERT_EQ(oracle_admission.offer(i, requests[i], 0),
+                AdmissionController::Decision::kAdmitted);
+      ASSERT_EQ(raw_admission.offer(i, requests[i], 0),
+                AdmissionController::Decision::kAdmitted);
+    }
+    std::size_t batches = 0;
+    while (oracle.due(0, oracle_admission)) {
+      const FormedBatch want = oracle.form_one(0, oracle_admission);
+      FormedBatch got = raw.form_one_raw(0, raw_admission);
+      BatchFormer::coalesce(got);
+      batches += 1;
+
+      std::vector<Node> canonical;
+      for (const std::size_t m : want.members) {
+        canonical.insert(canonical.end(), requests[m].nodes.begin(),
+                         requests[m].nodes.end());
+      }
+      std::sort(canonical.begin(), canonical.end());
+      canonical.erase(std::unique(canonical.begin(), canonical.end()),
+                      canonical.end());
+      ASSERT_EQ(want.nodes, canonical) << "seed " << seed << " batch " << want.id;
+      expect_maximal_level_runs(want, tree);
+
+      ASSERT_EQ(got.nodes, want.nodes) << "seed " << seed << " batch " << want.id;
+      const CompositeInstance a = got.decomposition();
+      const CompositeInstance b = want.decomposition();
+      ASSERT_EQ(a.component_count(), b.component_count());
+      for (std::size_t k = 0; k < a.parts().size(); ++k) {
+        const auto* x = a.parts()[k].get_if<LevelRunInstance>();
+        const auto* y = b.parts()[k].get_if<LevelRunInstance>();
+        ASSERT_NE(x, nullptr);
+        ASSERT_NE(y, nullptr);
+        EXPECT_EQ(x->first, y->first);
+        EXPECT_EQ(x->size, y->size);
+      }
+    }
+    EXPECT_FALSE(raw.due(0, raw_admission));
+    EXPECT_GE(batches, 2u) << "seed " << seed;
+  }
 }
 
 }  // namespace

@@ -97,8 +97,9 @@ void add_batches(Fnv& h, const std::vector<FormedBatch>& batches) {
       h.add(n.level);
       h.add(n.index);
     }
-    h.add(std::uint64_t{b.decomposition.component_count()});
-    for (const Node& n : b.decomposition.nodes()) {
+    const CompositeInstance decomposition = b.decomposition();
+    h.add(std::uint64_t{decomposition.component_count()});
+    for (const Node& n : decomposition.nodes()) {
       h.add(n.level);
       h.add(n.index);
     }

@@ -55,12 +55,13 @@ void expect_same_batches(const std::vector<FormedBatch>& got,
     ASSERT_EQ(got[b].members, want[b].members) << b;
     ASSERT_EQ(got[b].nodes, want[b].nodes) << b;
     ASSERT_EQ(got[b].requested_nodes, want[b].requested_nodes) << b;
-    // The resolve stage rebuilt the decomposition off the control plane;
-    // it must be the exact C(D, c) the oracle's inline coalesce produced.
-    ASSERT_EQ(got[b].decomposition.component_count(),
-              want[b].decomposition.component_count())
+    // The resolve stage coalesced off the control plane; the C(D, c)
+    // derived from its nodes must be the oracle's exactly.
+    ASSERT_TRUE(got[b].coalesced) << b;
+    ASSERT_EQ(got[b].decomposition().component_count(),
+              want[b].decomposition().component_count())
         << b;
-    ASSERT_EQ(got[b].decomposition.nodes(), want[b].decomposition.nodes())
+    ASSERT_EQ(got[b].decomposition().nodes(), want[b].decomposition().nodes())
         << b;
   }
 }
