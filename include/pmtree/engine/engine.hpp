@@ -22,7 +22,8 @@
 // The core is event-driven rather than scalar (DESIGN.md §8): module
 // FIFOs live in one flat arena sized from the admitted request count,
 // service touches only an active-module worklist, and whole busy spans
-// are retired in bulk when no arrival can land inside them. The frozen
+// are retired in bulk when no arrival or fault event can land inside
+// them. The frozen
 // PR-1 loop survives as ReferenceEngine (reference.hpp), the semantics
 // oracle the event core is differentially tested against.
 //
@@ -129,8 +130,9 @@ struct EngineOptions {
   /// an empty plan take the healthy fast path bit for bit; a non-empty
   /// plan runs the same event loop in its faulted mode: fail-stopped
   /// modules drain onto reroute targets, requests for dead modules
-  /// reroute at admission, slowed modules stall (fault/plan.hpp), and the
-  /// loop steps cycle by cycle.
+  /// reroute at admission, slowed modules stall (fault/plan.hpp). Bulk
+  /// spans still run between fault events; the loop steps single cycles
+  /// only while a backlogged module is inside a slowdown.
   const fault::FaultPlan* faults = nullptr;
 };
 

@@ -30,7 +30,8 @@
 // Arrivals must be nondecreasing (open-loop explicit schedule). A fault
 // plan in the options is honored: run_resolved's loop then runs in its
 // faulted mode, which reroutes by color, so faulted lanes need no nodes
-// either. There a replay extends earlier completions only while no
+// either, and which still retires bulk spans between fault events, so a
+// faulted lane's drain steps single cycles only inside slowdowns. There a replay extends earlier completions only while no
 // fail-stop falls after the appended arrivals: a fail-stop drains its
 // queue behind whatever arrived meanwhile. (The serve layer reads each round's
 // completions once, from that round's drain, so this never shows there.)

@@ -140,7 +140,9 @@ class FaultTimeline {
     return t >= fail_cycle_[m];
   }
   /// Whether module m retires a request at (the service step of) cycle t:
-  /// alive, and no slowdown interval is skipping this cycle.
+  /// alive, and no slowdown interval is skipping this cycle. The oracle
+  /// form: it scans every slowdown of m. Engines stepping forward in time
+  /// ask a Cursor instead.
   [[nodiscard]] bool serves_at(std::uint32_t m, std::uint64_t t) const {
     if (t >= fail_cycle_[m]) return false;
     for (const Slowdown& s : slow_by_module_[m]) {
@@ -187,12 +189,75 @@ class FaultTimeline {
   }
 
  private:
+  /// Cycles [begin, end) of one module, all covered by exactly the
+  /// slowdowns covers_[first, first + count).
+  struct Gate {
+    std::uint64_t begin = 0;
+    std::uint64_t end = 0;
+    std::uint32_t first = 0;
+    std::uint32_t count = 0;
+  };
+
+ public:
+  /// Forward-only reader of the slowdown gates, for a run whose cycle
+  /// never decreases. The timeline compiles each module's slowdowns once
+  /// into a begin-sorted list of disjoint gates — cycle ranges over which
+  /// the set of covering slowdowns is constant and non-empty — and the
+  /// cursor keeps one position per module in that list. Each query first
+  /// steps m's position past the gates that end at or before t, so a
+  /// whole run costs O(gates + queries) rather than a scan of every
+  /// slowdown per query. Queries for one module must not go back in time.
+  class Cursor {
+   public:
+    explicit Cursor(const FaultTimeline& timeline)
+        : timeline_(&timeline),
+          at_(timeline.gate_first_.begin(), timeline.gate_first_.end() - 1) {}
+
+    /// First cycle u >= t at which a slowdown covers m, or kNever. u == t
+    /// means m is inside a slowdown at t; otherwise m's service is ungated
+    /// on [t, u): serves_at(m, c) == !dead_at(m, c) there.
+    [[nodiscard]] std::uint64_t next_gated(std::uint32_t m, std::uint64_t t) {
+      const Gate* g = seek(m, t);
+      if (g == nullptr) return kNever;
+      return g->begin <= t ? t : g->begin;
+    }
+
+    /// serves_at(m, t), at the cost of the slowdowns covering t.
+    [[nodiscard]] bool serves(std::uint32_t m, std::uint64_t t) {
+      if (timeline_->dead_at(m, t)) return false;
+      const Gate* g = seek(m, t);
+      if (g == nullptr || g->begin > t) return true;
+      const Slowdown* s = timeline_->covers_.data() + g->first;
+      for (const Slowdown* e = s + g->count; s != e; ++s) {
+        if ((t - s->begin) % s->period != 0) return false;
+      }
+      return true;
+    }
+
+   private:
+    /// m's first gate ending after t, or nullptr.
+    const Gate* seek(std::uint32_t m, std::uint64_t t) {
+      const std::uint32_t last = timeline_->gate_first_[m + 1];
+      std::uint32_t& at = at_[m];
+      while (at < last && timeline_->gates_[at].end <= t) ++at;
+      return at < last ? &timeline_->gates_[at] : nullptr;
+    }
+
+    const FaultTimeline* timeline_;
+    std::vector<std::uint32_t> at_;  // per module: index into gates_
+  };
+
+ private:
   std::vector<std::uint64_t> fail_cycle_;           // per module; kNever = alive
   std::vector<std::uint32_t> redirect_;             // per color
   std::vector<std::uint32_t> dead_;                 // ascending module ids
   std::vector<std::uint32_t> live_;                 // ascending module ids
   std::vector<FailEvent> fail_events_;              // (cycle, module) order
   std::vector<std::vector<Slowdown>> slow_by_module_;
+  // Module m's gates are gates_[gate_first_[m], gate_first_[m + 1]).
+  std::vector<Gate> gates_;
+  std::vector<std::uint32_t> gate_first_;
+  std::vector<Slowdown> covers_;                    // gates' covering sets
   bool has_slowdowns_ = false;
 };
 

@@ -29,6 +29,7 @@
 // agree; the conflict theorems are validated against both.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -179,7 +180,19 @@ class ColorMapping : public TreeMapping {
   internal::GammaVariant variant_;
   Retrieval retrieval_;
   std::vector<Resolution> block_table_;  ///< kBlockTable: 2^min(N,H) - 1 entries
-  mutable std::shared_ptr<const BatchAccel> accel_;
+  /// The published accelerator. `owner` keeps it alive and is what copies
+  /// share (mappings are not assignable, so only copy construction needs
+  /// spelling out); `ptr` is the hot path — one acquire load per batch
+  /// call, no lock and no refcount traffic. Only accel()'s publish step
+  /// writes them.
+  struct AccelSlot {
+    AccelSlot() = default;
+    AccelSlot(const AccelSlot& other)
+        : owner(std::atomic_load(&other.owner)), ptr(owner.get()) {}
+    std::shared_ptr<const BatchAccel> owner;
+    std::atomic<const BatchAccel*> ptr{nullptr};
+  };
+  mutable AccelSlot accel_;
 };
 
 /// BASIC-COLOR(B, N, K): the single-block special case — a tree of at most

@@ -243,11 +243,22 @@ class StagedRunner {
   /// The per-batch step both executors run: coalesce, arena touch and
   /// color resolution into `colors`.
   void resolve(BatchToken& token, std::vector<Color>& colors);
+  /// Replays lane l's cumulative feed into results_[l], unless nothing was
+  /// fed since its last drain of this run (called by the lane's drainer).
+  void drain_lane(std::size_t l);
   void bump() noexcept;
 
   std::vector<LaneSpec> lanes_;
   std::vector<engine::EngineSession> sessions_;   ///< one per lane
   std::vector<engine::EngineResult> results_;     ///< one per lane
+  /// Per lane: sessions_[l].accesses() at its last drain this run, or
+  /// kNotDrained before the first (written by the lane's drainer).
+  static constexpr std::size_t kNotDrained = ~std::size_t{0};
+  std::vector<std::size_t> drained_accesses_;
+  /// Inline executor: per lane, batches cut this round (control plane),
+  /// and the barrier's heaviest-first lane order.
+  std::vector<std::uint64_t> lane_cuts_;
+  std::vector<std::uint32_t> lane_order_;
   /// Inline executor: each lane's color scratch, kept across rounds so
   /// the per-batch step stops allocating once it has seen the largest
   /// batch (the staged executor resolves into the pooled tokens, which

@@ -19,9 +19,10 @@
 //     sampling (EngineOptions) unlocks the bulk path.
 //
 // A fault plan runs through the same loop: fail-stops drain and reroute
-// queues, slowdowns gate service, and the run steps cycle by cycle while
-// the plan is set (tests/test_engine_faults.cpp holds it to the
-// reference).
+// queues, and slowdowns gate service. Fail events and slowdown starts
+// bound the bulk spans like arrivals do, and the run steps single cycles
+// only while a backlogged module is inside a slowdown
+// (tests/test_engine_faults.cpp holds it to the reference).
 #include "pmtree/engine/engine.hpp"
 
 #include <algorithm>
@@ -221,13 +222,21 @@ EngineResult run_resolved(const std::uint32_t modules,
   //   2. admission — requests colored to an already-dead module enqueue on
   //      the target instead;
   //   3. service — a module retires its head request only when
-  //      timeline.serves_at(m, t) says so; a backlogged module skipped by
-  //      a slowdown counts one stalled module-cycle.
-  // Failure and slowdown boundaries can land on any cycle, so a faulted
-  // run steps cycle by cycle (idle gaps are still skipped). Rerouting is
-  // by color (timeline.redirect(m)), so resolved colors are all it needs.
+  //      timeline.serves_at(m, t) says so (asked through a forward-only
+  //      Cursor); a backlogged module skipped by a slowdown counts one
+  //      stalled module-cycle.
+  // Between fault events the queues evolve exactly as in a healthy run,
+  // so the faulted loop retires bulk spans too: the span additionally
+  // ends at the next fail event and at the next cycle any active module
+  // enters a slowdown, and the loop steps single cycles only while an
+  // active module is inside one. Rerouting is by color
+  // (timeline.redirect(m)), so resolved colors are all it needs.
   std::optional<fault::FaultTimeline> timeline;
-  if (faulted) timeline.emplace(*options.faults, modules);
+  std::optional<fault::FaultTimeline::Cursor> gates;
+  if (faulted) {
+    timeline.emplace(*options.faults, modules);
+    gates.emplace(*timeline);
+  }
 
   // Flat arena queues: module m's FIFO is arena[qbase[m], qbase[m+1]), a
   // segment sized to the exact number of requests the run routes to m —
@@ -375,23 +384,30 @@ EngineResult run_resolved(const std::uint32_t modules,
     }
 
     // Cycle-skip horizon: nothing external touches the queues before the
-    // next arrival (closed-loop admission waits for a full drain), and
-    // service is deterministic — one pop per active module per cycle —
-    // so a span of `span` cycles can be retired in bulk as long as no
-    // active module drains inside it (the min-depth bound). Full
-    // per-busy-cycle sampling and a fault plan force span == 1.
+    // next arrival (closed-loop admission waits for a full drain) or the
+    // next fail event, and service is deterministic — one pop per active
+    // module per cycle while none of them is gated — so a span of `span`
+    // cycles can be retired in bulk as long as no active module drains
+    // inside it (the min-depth bound) or enters a slowdown (the gate
+    // bound, 0 for a module inside one). Full per-busy-cycle sampling
+    // forces span == 1, and so does an active module inside a slowdown.
     std::uint64_t span = 1;
-    if (!per_cycle && !timeline) {
+    if (!per_cycle) {
       std::uint64_t horizon = std::numeric_limits<std::uint64_t>::max();
       if (!schedule.closed_loop() && next < n) {
         // >= 1: every arrival due at t was admitted above.
         horizon = schedule.arrival_cycle(next) - t;
       }
-      std::uint64_t min_depth = std::numeric_limits<std::uint64_t>::max();
-      for (const std::uint32_t m : active) {
-        min_depth = std::min(min_depth, tail[m] - head[m]);
+      if (timeline && next_fail < timeline->fail_events().size()) {
+        // >= 1: every fail event due at t was processed above.
+        horizon =
+            std::min(horizon, timeline->fail_events()[next_fail].cycle - t);
       }
-      span = std::min(horizon, min_depth);
+      for (const std::uint32_t m : active) {
+        horizon = std::min(horizon, tail[m] - head[m]);
+        if (gates) horizon = std::min(horizon, gates->next_gated(m, t) - t);
+      }
+      span = std::max<std::uint64_t>(horizon, 1);
     }
 
     // Depth observation for busy-cycle ordinals [b, b + span), after
@@ -422,7 +438,7 @@ EngineResult run_resolved(const std::uint32_t modules,
     // not matter — the last pop of an access always sees the full max.
     for (std::size_t a = 0; a < active.size();) {
       const std::uint32_t m = active[a];
-      if (timeline && !timeline->serves_at(m, t)) {
+      if (gates && !gates->serves(m, t)) {
         result.stalled_cycles += 1;
         a += 1;
         continue;

@@ -105,6 +105,42 @@ FaultTimeline::FaultTimeline(const FaultPlan& plan, std::uint32_t modules) {
   for (std::size_t j = 0; j < dead_.size(); ++j) {
     redirect_[dead_[j]] = live_[j % live_.size()];
   }
+  // Gates: sweep each module's begin/end points in order, keeping the
+  // slowdowns open at the current point; every stretch between two
+  // consecutive points with an open slowdown is one gate.
+  gate_first_.assign(modules + 1, 0);
+  std::vector<std::uint64_t> points;
+  std::vector<Slowdown> open;
+  for (std::uint32_t m = 0; m < modules; ++m) {
+    std::vector<Slowdown>& slows = slow_by_module_[m];
+    std::sort(slows.begin(), slows.end(),
+              [](const Slowdown& a, const Slowdown& b) {
+                return a.begin < b.begin;
+              });
+    points.clear();
+    for (const Slowdown& s : slows) {
+      points.push_back(s.begin);
+      points.push_back(s.end);
+    }
+    std::sort(points.begin(), points.end());
+    points.erase(std::unique(points.begin(), points.end()), points.end());
+    open.clear();
+    std::size_t next = 0;
+    for (std::size_t p = 0; p + 1 < points.size(); ++p) {
+      const std::uint64_t at = points[p];
+      std::erase_if(open, [at](const Slowdown& s) { return s.end <= at; });
+      for (; next < slows.size() && slows[next].begin <= at; ++next) {
+        open.push_back(slows[next]);
+      }
+      if (open.empty()) continue;
+      gates_.push_back(Gate{at, points[p + 1],
+                            static_cast<std::uint32_t>(covers_.size()),
+                            static_cast<std::uint32_t>(open.size())});
+      covers_.insert(covers_.end(), open.begin(), open.end());
+    }
+    gate_first_[m + 1] = static_cast<std::uint32_t>(gates_.size());
+  }
+
   std::sort(fail_events_.begin(), fail_events_.end(),
             [](const FailEvent& a, const FailEvent& b) {
               if (a.cycle != b.cycle) return a.cycle < b.cycle;

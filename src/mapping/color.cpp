@@ -117,7 +117,7 @@ Color ColorMapping::color_of(Node nd) const {
 }
 
 const ColorMapping::BatchAccel& ColorMapping::accel() const {
-  if (auto cur = std::atomic_load_explicit(&accel_, std::memory_order_acquire)) {
+  if (const BatchAccel* cur = accel_.ptr.load(std::memory_order_acquire)) {
     return *cur;
   }
   // Space caps: the top-color horizon is at most 2^20 - 1 entries (4 MiB)
@@ -200,15 +200,18 @@ const ColorMapping::BatchAccel& ColorMapping::accel() const {
   }
 
   // Publish; on a race every thread builds the same immutable tables, and
-  // whichever lands first wins.
+  // whichever lands in `owner` first wins. Every racer then stores the
+  // winner into `ptr`, so all of them store the same pointer.
   std::shared_ptr<const BatchAccel> expected;
   std::shared_ptr<const BatchAccel> desired = std::move(built);
-  if (std::atomic_compare_exchange_strong_explicit(
-          &accel_, &expected, desired, std::memory_order_acq_rel,
-          std::memory_order_acquire)) {
-    return *desired;
+  const BatchAccel* winner = desired.get();
+  if (!std::atomic_compare_exchange_strong_explicit(
+          &accel_.owner, &expected, std::move(desired),
+          std::memory_order_acq_rel, std::memory_order_acquire)) {
+    winner = expected.get();
   }
-  return *expected;
+  accel_.ptr.store(winner, std::memory_order_release);
+  return *winner;
 }
 
 void ColorMapping::color_of_batch(std::span<const Node> nodes,

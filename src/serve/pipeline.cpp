@@ -7,6 +7,7 @@
 #include <cassert>
 #include <chrono>
 #include <memory>
+#include <numeric>
 #include <utility>
 
 #include "pmtree/util/parallel.hpp"
@@ -40,6 +41,8 @@ StagedRunner::StagedRunner(std::vector<LaneSpec> lanes,
     sessions_.emplace_back(*lane.mapping, lane.options);
   }
   results_.resize(lanes_.size());
+  drained_accesses_.assign(lanes_.size(), kNotDrained);
+  lane_cuts_.assign(lanes_.size(), 0);
   lane_colors_.resize(lanes_.size());
   for (unsigned w = 0; w < P; ++w) {
     resolve_lists_.emplace_back(&BatchToken::next_resolve);
@@ -82,6 +85,8 @@ void StagedRunner::begin_run() {
   // these control-plane accesses.
   for (engine::EngineSession& session : sessions_) session.clear();
   for (engine::EngineResult& result : results_) result = engine::EngineResult();
+  std::fill(drained_accesses_.begin(), drained_accesses_.end(), kNotDrained);
+  std::fill(lane_cuts_.begin(), lane_cuts_.end(), 0);
   token_count_ = 0;  // token storage is pooled across runs
   executed_round_.store(0, std::memory_order_relaxed);
   cut_round_.store(0, std::memory_order_relaxed);
@@ -115,7 +120,10 @@ void StagedRunner::cut(FormedBatch batch, std::uint32_t lane,
   // resolve list last means a token is never resolvable before its lane
   // position exists. Inline, the step waits for the barrier.
   lane_lists_[lane].push(&token);
-  if (workers_.empty()) return;
+  if (workers_.empty()) {
+    lane_cuts_[lane] += 1;
+    return;
+  }
   const std::uint64_t in_flight =
       token_count_ - executed_round_.load(std::memory_order_relaxed);
   max_in_flight_ = std::max(max_in_flight_, in_flight);
@@ -149,13 +157,25 @@ void StagedRunner::close_round() {
     // takes its round's batches through the step in cut order, feeds them
     // and replays its cumulative feed. The control thread waits here, so
     // nothing the step reads (dyn colors, epoch mappings) moves meanwhile.
+    // Lanes go out heaviest first (most cuts this round, ties by id), so
+    // the longest drains start before the short ones fill the threads.
     const std::uint64_t L = lanes_.size();
     const unsigned threads = static_cast<unsigned>(
         std::min<std::uint64_t>(resolve_threads(drain_threads_),
                                 std::max<std::uint64_t>(L, 1)));
+    lane_order_.resize(L);
+    std::iota(lane_order_.begin(), lane_order_.end(), 0u);
+    std::sort(lane_order_.begin(), lane_order_.end(),
+              [&](std::uint32_t a, std::uint32_t b) {
+                if (lane_cuts_[a] != lane_cuts_[b]) {
+                  return lane_cuts_[a] > lane_cuts_[b];
+                }
+                return a < b;
+              });
     parallel_chunks(L, threads, /*grain=*/1,
                     [&](unsigned, std::uint64_t begin, std::uint64_t end) {
-                      for (std::uint64_t l = begin; l < end; ++l) {
+                      for (std::uint64_t i = begin; i < end; ++i) {
+                        const std::uint32_t l = lane_order_[i];
                         std::vector<Color>& colors = lane_colors_[l];
                         TokenList& list = lane_lists_[l];
                         for (; BatchToken* token = list.front(); list.pop()) {
@@ -164,7 +184,7 @@ void StagedRunner::close_round() {
                               colors, token->batch.formed_cycle);
                         }
                         list.reset();
-                        results_[l] = sessions_[l].drain();
+                        drain_lane(l);
                       }
                     });
     return;
@@ -194,11 +214,22 @@ void StagedRunner::next_round() {
   // Safe without worker synchronization: close_round's barrier guarantees
   // every list was reset by its consumer and every worker is parked with
   // no token pointer in hand.
+  std::fill(lane_cuts_.begin(), lane_cuts_.end(), 0);
   token_count_ = 0;  // keep pooled token storage
   executed_round_.store(0, std::memory_order_relaxed);
   cut_round_.store(0, std::memory_order_relaxed);
   const std::lock_guard<std::mutex> lock(mutex_);
   done_workers_ = 0;
+}
+
+void StagedRunner::drain_lane(std::size_t l) {
+  // A replay is a pure function of the feed, so a lane fed nothing since
+  // its last drain of this run (a tenant with no retries in a retry
+  // round) keeps that drain's result.
+  const std::size_t fed = sessions_[l].accesses();
+  if (fed == drained_accesses_[l]) return;
+  results_[l] = sessions_[l].drain();
+  drained_accesses_[l] = fed;
 }
 
 void StagedRunner::resolve(BatchToken& token, std::vector<Color>& colors) {
@@ -287,7 +318,7 @@ bool StagedRunner::work_once(unsigned me, std::uint64_t& drained_upto) {
     for (std::size_t l = me; l < lane_lists_.size(); l += P) {
       assert(lane_lists_[l].front() == nullptr);
       lane_lists_[l].reset();
-      results_[l] = sessions_[l].drain();
+      drain_lane(l);
     }
     drain_ns_.fetch_add(ns_since(start), std::memory_order_relaxed);
     drained_upto = closed;

@@ -15,6 +15,11 @@
 # trees (test_dyn_incremental re-checks the incremental coloring
 # bit-identical to a from-scratch rebuild after every mutation batch).
 #
+# The `engine` label selects the cycle engine's suites (test_engine_*):
+# the event core against ReferenceEngine, healthy and under dense fault
+# plans in every depth-sampling mode, the stage-granular session, the
+# sharded runner and the metrics export.
+#
 # The serve layer is one control plane (src/serve/control.cpp) with two
 # executors, so its coverage is one story. The `serve`-labelled suites
 # race submitter threads into the striped inboxes, then run the same
@@ -33,6 +38,7 @@
 #   tests/run_sanitizers.sh tsan        # one sanitizer
 #   tests/run_sanitizers.sh tsan Sim    # ctest -R filter (regex)
 #   tests/run_sanitizers.sh tsan -L serve   # ctest -L label
+#   tests/run_sanitizers.sh asan -L engine  # the seven test_engine_* suites
 #   tests/run_sanitizers.sh tsan -L serve 5 # ... 5 runs, stop at a failure
 #   tests/run_sanitizers.sh tsan Sim 5      # same with a -R filter
 #

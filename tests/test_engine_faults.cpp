@@ -8,10 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "pmtree/dyn/dynamic_tree.hpp"
 #include "pmtree/dyn/incremental.hpp"
@@ -108,6 +110,81 @@ TEST(FaultTimeline, IgnoresOutOfRangeAndDegenerateEntries) {
   for (std::uint32_t m = 0; m < 4; ++m) {
     EXPECT_EQ(tl.fail_cycle(m), FaultTimeline::kNever);
     EXPECT_TRUE(tl.serves_at(m, 7));
+  }
+}
+
+// The cursor against the oracle on one plan: serves() == serves_at() and
+// next_gated() == the first cycle >= t that an applied slowdown of m
+// covers (brute force over the raw plan; the timeline ignores period <= 1
+// and empty intervals), for t stepping forward by 1 + (t % stride) —
+// stride 1 asks every cycle, larger strides make the cursor jump over
+// whole gates.
+void expect_cursor_matches_oracle(const FaultPlan& plan, std::uint32_t modules,
+                                  std::uint64_t horizon, std::uint64_t stride) {
+  // next_cover[m][u]: first covered cycle >= u, up to the last slowdown end.
+  std::uint64_t limit = horizon;
+  for (const fault::Slowdown& s : plan.slowdowns()) {
+    limit = std::max(limit, s.end);
+  }
+  std::vector<std::vector<std::uint64_t>> next_cover(
+      modules, std::vector<std::uint64_t>(limit + 1, FaultTimeline::kNever));
+  for (std::uint32_t m = 0; m < modules; ++m) {
+    for (std::uint64_t u = limit; u-- > 0;) {
+      bool hit = false;
+      for (const fault::Slowdown& s : plan.slowdowns()) {
+        hit = hit || (s.module == m && s.period > 1 && s.begin <= u &&
+                      u < s.end);
+      }
+      next_cover[m][u] = hit ? u : next_cover[m][u + 1];
+    }
+  }
+
+  const FaultTimeline tl(plan, modules);
+  FaultTimeline::Cursor cursor(tl);
+  for (std::uint64_t t = 0; t < horizon; t += 1 + t % stride) {
+    for (std::uint32_t m = 0; m < modules; ++m) {
+      ASSERT_EQ(cursor.serves(m, t), tl.serves_at(m, t))
+          << "m=" << m << " t=" << t;
+      ASSERT_EQ(cursor.next_gated(m, t), next_cover[m][t])
+          << "m=" << m << " t=" << t;
+    }
+  }
+}
+
+TEST(FaultTimeline, CursorMatchesOracleOverNestedAndOverlappingSlowdowns) {
+  FaultPlan plan;
+  // Module 0: nested — [10, 60) period 3 holds [20, 30) period 2 and
+  // [25, 40) period 5, which overlap each other; a duplicate of the inner
+  // one and a period-1 no-op change nothing.
+  plan.slow_down(0, 10, 60, 3).slow_down(0, 20, 30, 2);
+  plan.slow_down(0, 25, 40, 5).slow_down(0, 20, 30, 2);
+  plan.slow_down(0, 45, 50, 1);
+  // Module 1: abutting and disjoint windows, then a fail-stop inside one.
+  plan.slow_down(1, 5, 15, 4).slow_down(1, 15, 18, 2).slow_down(1, 30, 90, 7);
+  plan.fail_stop(1, 70);
+  // Module 2: one long window starting at 0. Module 3: healthy.
+  plan.slow_down(2, 0, 200, 6);
+  for (const std::uint64_t stride : {1u, 3u, 17u}) {
+    SCOPED_TRACE("stride=" + std::to_string(stride));
+    expect_cursor_matches_oracle(plan, 4, 240, stride);
+  }
+}
+
+TEST(FaultTimeline, CursorMatchesOracleOnRandomDensePlans) {
+  Rng rng(0x6A7E5u);
+  for (int trial = 0; trial < 40; ++trial) {
+    FaultPlan::RandomOptions opts;
+    opts.seed = rng();
+    opts.modules = 2 + static_cast<std::uint32_t>(rng.below(6));
+    opts.fail_fraction = 0.25;
+    opts.fail_window = 256;
+    opts.slowdown_count = 8 + static_cast<std::uint32_t>(rng.below(57));
+    opts.slowdown_window = 1 + rng.below(256);
+    opts.slowdown_max_length = 1 + rng.below(128);
+    opts.slowdown_max_period = 2 + rng.below(7);
+    const FaultPlan plan = FaultPlan::random(opts);
+    SCOPED_TRACE("trial=" + std::to_string(trial));
+    expect_cursor_matches_oracle(plan, opts.modules, 420, 1 + rng.below(9));
   }
 }
 
@@ -365,6 +442,66 @@ TEST(FaultDifferential, EventCoreMatchesReferenceUnderFaults) {
         (sampled.busy_cycles + strided.sample_stride - 1) /
         strided.sample_stride * mapping->num_modules();
     ASSERT_EQ(sampled.queue_depth.count(), expect_samples);
+  }
+}
+
+TEST(FaultDifferential, EventCoreMatchesReferenceUnderDenseSlowdowns) {
+  // Dense plans on few modules: 8-128 slowdowns over windows <= 512, so a
+  // module often sits in several overlapping slowdowns with different
+  // periods, plus fail-stops inside the same stretch. Half the schedules
+  // are all-at-once over a larger workload, so the queues are deep and
+  // the bulk spans of the reduced-sampling runs really cross slowdown
+  // starts and fail events.
+  Rng rng(0xDE45E5u);
+  for (int trial = 0; trial < 200; ++trial) {
+    const CompleteBinaryTree tree(6 + static_cast<std::uint32_t>(rng.below(5)));
+    const ModuloMapping mapping(
+        tree, 3 + static_cast<std::uint32_t>(rng.below(10)));
+    const bool burst = rng.below(2) == 0;
+    const Workload workload =
+        burst ? Workload::mixed(tree, 1 + rng.below(12), 40 + rng.below(80),
+                                rng())
+              : random_workload(tree, rng);
+    const ArrivalSchedule schedule =
+        burst ? ArrivalSchedule::all_at_once() : random_schedule(rng);
+    FaultPlan::RandomOptions opts;
+    opts.seed = rng();
+    opts.modules = mapping.num_modules();
+    opts.fail_fraction = 0.1 * static_cast<double>(rng.below(5));
+    opts.fail_window = 1 + rng.below(512);
+    opts.slowdown_count = 8 + static_cast<std::uint32_t>(rng.below(121));
+    opts.slowdown_window = 1 + rng.below(512);
+    opts.slowdown_max_length = 1 + rng.below(256);
+    opts.slowdown_max_period = 2 + rng.below(7);
+    const FaultPlan plan = FaultPlan::random(opts);
+    SCOPED_TRACE("trial=" + std::to_string(trial) +
+                 " schedule=" + schedule.name() +
+                 " plan=" + plan.to_json().dump());
+
+    const EngineResult want =
+        ReferenceEngine(mapping).run(workload, schedule, plan);
+    const CycleEngine eng(mapping);
+    EngineOptions full;
+    full.faults = &plan;
+    expect_same_trajectory(eng.run(workload, schedule, full), want,
+                           /*compare_depths=*/true);
+
+    EngineOptions off = full;
+    off.sampling = DepthSampling::kOff;
+    expect_same_trajectory(eng.run(workload, schedule, off), want,
+                           /*compare_depths=*/false);
+
+    // Stride 1 samples every busy cycle, so its histogram must equal the
+    // reference's exactly while the engine still retires bulk spans.
+    EngineOptions strided = full;
+    strided.sampling = DepthSampling::kStrided;
+    strided.sample_stride = rng.below(2) == 0 ? 1 : 2 + rng.below(9);
+    const EngineResult sampled = eng.run(workload, schedule, strided);
+    expect_same_trajectory(sampled, want,
+                           /*compare_depths=*/strided.sample_stride == 1);
+    ASSERT_EQ(sampled.queue_depth.count(),
+              (sampled.busy_cycles + strided.sample_stride - 1) /
+                  strided.sample_stride * mapping.num_modules());
   }
 }
 
